@@ -14,7 +14,6 @@ from structrand import (
     inner_product,
     norm,
     orthogonal_weak_decompose,
-    pseudorandomness_level,
     strong_decompose,
     weak_decompose,
 )
@@ -29,7 +28,7 @@ f = f / max(norm(f), 1.0)
 atoms = character_atoms(n)
 
 print("input norm          ", norm(f))
-print("pseudorandomness    ", pseudorandomness_level(f, atoms).lower)
+print("pseudorandomness    ", atoms.scan(f).lower)
 
 print("\n-- greedy split at eps = 0.2 --")
 dec = weak_decompose(f, atoms, 0.2)

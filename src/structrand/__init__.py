@@ -37,7 +37,6 @@ from .factors import (
     conditional_expectation,
     dyadic_interval_family,
     energy_increment_step,
-    factor_join,
     interval_factor,
     level_set_factor,
     projection_norm,
@@ -74,7 +73,6 @@ from .hilbert import (
     inner_product,
     norm,
     orthogonal_weak_decompose,
-    pseudorandomness_level,
     strong_decompose,
     weak_decompose,
 )

@@ -93,7 +93,6 @@ def arithmetic_regularize(
     n: int,
     eps: float,
     growth: GrowthFunction | None = None,
-    complexity_cap: int = 10**6,
 ) -> CosetReport:
     """Find a subspace on most of whose translates the set looks Fourier-flat.
 
@@ -113,7 +112,7 @@ def arithmetic_regularize(
     atoms = CharacterAtomSet(n)
     if growth is None:
         growth = GrowthFunction.arithmetic_regularity(eps)
-    dec = strong_decompose(f, atoms, eps, growth, complexity_cap=complexity_cap)
+    dec = strong_decompose(f, atoms, eps, growth)
     basis = f2_row_basis(k for k, _ in dec.atoms)
     d = len(basis)
     ids = coset_ids(n, basis)

@@ -33,7 +33,7 @@ from .gowers import gowers_norm, gowers_norm_u2_fft
 from .graphs import CutAtomSet, szemeredi_regularize, weak_regularize
 from .hilbert import GrowthFunction, norm, orthogonal_weak_decompose, strong_decompose, weak_decompose
 from .inverse import inverse_99, inverse_100
-from .io import load_adjacency_binary, load_edge_list, load_subset, load_vector_json, partition_to_dot
+from .io import load_adjacency_binary, load_edge_list, load_subset, load_vector_binary, load_vector_json, partition_to_dot
 
 log = logging.getLogger("structrand")
 
@@ -62,7 +62,12 @@ def parse_gen(spec: str) -> dict:
             try:
                 params[key] = int(val)
             except ValueError:
-                params[key] = float(val)
+                try:
+                    params[key] = float(val)
+                except ValueError:
+                    raise PreconditionError(
+                        f"generator parameter {item!r} in {spec!r} is not key=number"
+                    ) from None
     params["name"] = name
     return params
 
@@ -80,6 +85,8 @@ def parse_growth(text: str, eps: float) -> GrowthFunction:
 
 def make_cube_function(args, rng) -> np.ndarray:
     if args.input:
+        if args.input.endswith(".bin"):
+            return load_vector_binary(args.input)
         return load_vector_json(args.input)
     params = parse_gen(args.gen)
     n = int(params.get("n", 8))
@@ -360,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--input", help="input file (JSON vector, edge list, subset)")
-        p.add_argument("--gen", help="generator spec, e.g. random:n=8 or gnp:n=64,p=0.5")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--input", help="input file (JSON or .bin vector, edge list, subset)")
+        source.add_argument("--gen", help="generator spec, e.g. random:n=8 or gnp:n=64,p=0.5")
         p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--d", type=int, default=None)

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionMismatchError, PreconditionError
-from .hilbert import EPS_TOL, MIN_CORR, AtomSet, CorrelationScan
+from .hilbert import AtomSet, DenseAtomSet
 
 MAX_CUBE_N = 24
 
@@ -240,28 +240,20 @@ class CharacterAtomSet(AtomSet):
     def atom_vector(self, key):
         return character(self.n, int(key))
 
-    def candidates(self, f, eps):
-        spec = walsh_hadamard(f)
-        thresh = max(eps - EPS_TOL, MIN_CORR)
-        idx = np.flatnonzero(np.abs(spec) >= thresh)
-        idx = idx[np.lexsort((idx, -np.abs(spec[idx])))]
-        return [(int(i), float(spec[i])) for i in idx[: self.max_candidates]]
+    def correlations(self, f):
+        return walsh_hadamard(f)
 
-    def scan(self, f):
-        spec = walsh_hadamard(f)
-        best = int(np.argmax(np.abs(spec)))
-        level = float(abs(spec[best]))
-        return CorrelationScan(lower=level, upper=level, exact=True, witness=best)
+    # defined on the class itself so that per-class wrappers can replace them
+    candidates = AtomSet.candidates
+    scan = AtomSet.scan
 
 
-class ReedMullerAtomSet(AtomSet):
+class ReedMullerAtomSet(DenseAtomSet):
     """All codes (-1)^P with deg P <= k, materialized for exhaustive scans.
 
     The enumeration has 2^(number of monomials) members; construction refuses
     anything beyond the count/memory budget and reports the offending count.
     """
-
-    exact = True
 
     def __init__(self, n, k, max_count=1 << 16, max_cells=1 << 24, max_candidates=64):
         self.n = int(n)
@@ -290,12 +282,9 @@ class ReedMullerAtomSet(AtomSet):
         codes = np.ones((1, size))
         for j in range(len(monos)):
             codes = np.vstack([codes, codes * signs[j]])
-        self.matrix = codes
+        self.matrix = codes  # +-1 rows have norm 1: DenseAtomSet's norm check is moot
         self.name = f"reed-muller(n={n}, deg<={k})"
         self.max_candidates = max_candidates
-
-    def __len__(self):
-        return self.matrix.shape[0]
 
     def polynomial(self, index: int) -> F2Polynomial:
         monos = [self.monomials[j] for j in range(len(self.monomials)) if (index >> j) & 1]
@@ -308,28 +297,12 @@ class ReedMullerAtomSet(AtomSet):
             index |= 1 << positions[mono]
         return index
 
-    def atom_vector(self, key):
-        return self.matrix[key]
-
     def key_json(self, key):
         return self.polynomial(int(key)).to_json()
 
-    def _correlations(self, f):
-        f = np.asarray(f, dtype=float).ravel()
-        return self.matrix @ f / f.size
-
-    def candidates(self, f, eps):
-        corr = self._correlations(f)
-        thresh = max(eps - EPS_TOL, MIN_CORR)
-        idx = np.flatnonzero(np.abs(corr) >= thresh)
-        idx = idx[np.lexsort((idx, -np.abs(corr[idx])))]
-        return [(int(i), float(corr[i])) for i in idx[: self.max_candidates]]
-
-    def scan(self, f):
-        corr = self._correlations(f)
-        best = int(np.argmax(np.abs(corr)))
-        level = float(abs(corr[best]))
-        return CorrelationScan(lower=level, upper=level, exact=True, witness=best)
+    # defined on the class itself so that per-class wrappers can replace them
+    candidates = DenseAtomSet.candidates
+    scan = DenseAtomSet.scan
 
 
 def character_atoms(n) -> CharacterAtomSet:

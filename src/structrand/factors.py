@@ -9,18 +9,16 @@ factor-measurable functions, which is what drives every argument here.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    BudgetExceededError,
     CertificateError,
     MajorantViolationError,
     PreconditionError,
 )
-from .hilbert import EPS_TOL, GrowthFunction, _ceil_guard, _iteration_budget
+from .hilbert import EPS_TOL, GrowthFunction, _iteration_budget, run_stages
 
 
 class FiniteProbabilitySpace:
@@ -101,17 +99,6 @@ class Factor:
         return hash(self.labels.tobytes())
 
 
-def factor_join(y1: Factor, y2: Factor) -> Factor:
-    return y1.join(y2)
-
-
-def join_all(n: int, factors) -> Factor:
-    out = Factor.trivial(n)
-    for y in factors:
-        out = out.join(y)
-    return out
-
-
 @dataclass
 class FactorFamily:
     """The structure stock: an indexed finite collection of factors."""
@@ -142,6 +129,11 @@ def conditional_expectation(space: FiniteProbabilitySpace, f, factor: Factor):
 
 def projection_norm(space, f, factor) -> float:
     return space.l2(conditional_expectation(space, f, factor))
+
+
+def _worst_projection(space, f, family: FactorFamily) -> float:
+    """Largest projection norm of f onto a member of the family (0 if empty)."""
+    return max((projection_norm(space, f, y) for y in family.members), default=0.0)
 
 
 def energy_increment_step(space, f, base: Factor, family: FactorFamily, eps: float):
@@ -200,7 +192,7 @@ def weak_factor_decompose(
         raise PreconditionError("eps must lie in (0, 1]")
     if not sparse and space.l2(f) > 1.0 + EPS_TOL:
         raise PreconditionError("||f||_2 must be at most 1 (dense mode)")
-    budget = int(math.floor(energy_cap / (eps * eps) * (1 + 1e-12) + 1e-12))
+    budget = _iteration_budget(eps, energy_cap)
     current = base
     if factor_hook is not None:
         factor_hook(current, ())
@@ -277,10 +269,7 @@ class FactorDecomposition:
             raise CertificateError("f_str is not E(f | factor)")
         if space.l2(self.f_err) > self.error_norm + EPS_TOL:
             raise CertificateError("f_err exceeds the certified bound")
-        worst = max(
-            (projection_norm(space, self.f_psd, y) for y in family.members),
-            default=0.0,
-        )
+        worst = _worst_projection(space, self.f_psd, family)
         if worst > self.pseudorandomness_eps + EPS_TOL:
             raise CertificateError(
                 f"f_psd projects at {worst}, above {self.pseudorandomness_eps}"
@@ -298,7 +287,6 @@ def strong_factor_decompose(
     energy_cap: float = 1.0,
     factor_hook=None,
     complexity_cap: int = 10**6,
-    stage_time_s: float = 300.0,
 ) -> FactorDecomposition:
     """Three-part factor split with growth-controlled pseudorandomness.
 
@@ -309,100 +297,72 @@ def strong_factor_decompose(
     with M the reported sequence value.  Requires F(M) >= 2M.
     """
     f = np.asarray(f, dtype=float)
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
     if not sparse and space.l2(f) > 1.0 + EPS_TOL:
         raise PreconditionError("||f||_2 must be at most 1 (dense mode)")
-    n = space.size
-    max_stage = int(math.floor(energy_cap / (eps * eps) * (1 + 1e-12) + 1e-12)) + 1
-    m_prev = 1
-    current = Factor.trivial(n)
-    prev_proj = conditional_expectation(space, f, current)
-    prev_energy = space.l2(prev_proj) ** 2
-    stages = []
-    started = time.monotonic()
-    for stage_index in range(1, max_stage + 1):
-        f_value = growth(m_prev)
-        if f_value < 2 * m_prev:
-            raise PreconditionError(
-                f"growth must satisfy F(M) >= 2M, got F({m_prev}) = {f_value}"
-            )
-        f_int = _ceil_guard(f_value)
-        stage_eps = 1.0 / f_int if not math.isinf(f_int) else 1e-12
-        over_cap = math.isinf(f_int) or f_int * f_int > complexity_cap
-        if over_cap:
-            # the threshold is beyond the cap: the stage may still terminate
-            # immediately, but building any structure there is refused
-            proj = conditional_expectation(space, f, current)
-            residual = f - proj
-            worst = max(
-                (projection_norm(space, residual, y) for y in family.members),
-                default=0.0,
-            )
-            if worst > stage_eps + EPS_TOL:
-                raise BudgetExceededError(
-                    f"stage {stage_index} needs structure beyond the complexity cap",
-                    partial={"stages": stages},
-                )
-            split = WeakFactorSplit(
-                member_indices=[],
-                factor=current,
-                f_str=proj,
-                f_psd=residual,
-                iterations=0,
-            )
-        else:
+    factor = Factor.trivial(space.size)  # refined by the kept stages
+    f_str = conditional_expectation(space, f, factor)
+    energy = space.l2(f_str) ** 2
+    last = None  # the latest stage's refinement of factor, and its energy
+
+    def doubling(m):
+        value = growth(m)
+        if value < 2 * m:
+            raise PreconditionError(f"growth must satisfy F(M) >= 2M, got F({m}) = {value}")
+        return value
+
+    def refine(threshold, build):
+        nonlocal factor, f_str, energy, last
+        if last is not None:  # a stage runs only when the last one moved too much energy
+            split, energy = last
+            factor, f_str = split.factor, split.f_str
+        if build:
             split = weak_factor_decompose(
                 space,
                 f,
-                current,
+                factor,
                 family,
-                min(stage_eps, 1.0),
+                threshold,
                 sparse=sparse,
                 energy_cap=energy_cap,
                 factor_hook=factor_hook,
             )
-        energy = space.l2(split.f_str) ** 2
-        gain = energy - prev_energy
-        stages.append(
-            {
-                "stage": stage_index,
-                "M": None if math.isinf(f_int) else int(f_int) ** 2,
-                "threshold": stage_eps,
-                "joins": split.iterations,
-                "energy_gain": gain,
-                "members": list(split.member_indices),
-            }
-        )
-        if gain <= eps * eps + 1e-12:
-            f_psd = f - split.f_str
-            worst = max(
-                (projection_norm(space, f_psd, y) for y in family.members),
-                default=0.0,
-            )
-            return FactorDecomposition(
-                factor=current,
-                member_indices=[i for s in stages[:-1] for i in s["members"]],
-                f_str=prev_proj,
-                f_psd=f_psd,
-                f_err=split.f_str - prev_proj,
-                growth_m=m_prev,
-                complexity=sum(s["joins"] for s in stages[:-1]),
-                pseudorandomness_eps=stage_eps,
-                pseudo_found=worst,
-                error_norm=eps,
-                stage_index=stage_index,
-                stages=stages,
-            )
-        current = split.factor
-        prev_proj = split.f_str
-        prev_energy = energy
-        m_prev = f_int * f_int if not math.isinf(f_int) else f_int
-        if time.monotonic() - started > stage_time_s:
-            raise BudgetExceededError(
-                f"stage wall clock exceeded {stage_time_s}s", partial={"stages": stages}
-            )
-    raise CertificateError("pigeonhole failed: no stage had a small energy gain")
+        else:
+            residual = f - f_str
+            if _worst_projection(space, residual, family) > threshold + EPS_TOL:
+                return None
+            split = WeakFactorSplit([], factor, f_str, residual, iterations=0)
+        stage_energy = space.l2(split.f_str) ** 2
+        last = (split, stage_energy)
+        gain = stage_energy - energy
+        return gain, {
+            "joins": split.iterations,
+            "energy_gain": gain,
+            "members": list(split.member_indices),
+        }
+
+    stages, threshold, growth_m = run_stages(
+        eps,
+        doubling,
+        lambda width: width * width,
+        refine,
+        complexity_cap=complexity_cap,
+        energy_cap=energy_cap,
+    )
+    split = last[0]
+    return FactorDecomposition(
+        factor=factor,
+        member_indices=[i for s in stages[:-1] for i in s["members"]],
+        f_str=f_str,
+        f_psd=split.f_psd,
+        f_err=split.f_str - f_str,
+        growth_m=growth_m,
+        complexity=sum(s["joins"] for s in stages[:-1]),
+        pseudorandomness_eps=threshold,
+        pseudo_found=_worst_projection(space, split.f_psd, family),
+        error_norm=eps,
+        stage_index=len(stages),
+        stages=stages,
+    )
 
 
 def sparse_decompose(

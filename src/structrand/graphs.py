@@ -504,7 +504,6 @@ def szemeredi_regularize(
     seed: int = 0,
     samples: int = 200,
     starts: int = 64,
-    complexity_cap: int = 10**6,
 ) -> RegularityPartition:
     """Equitable partition with most pairs eps-regular.
 
@@ -522,7 +521,7 @@ def szemeredi_regularize(
     if growth is None:
         growth = GrowthFunction.arithmetic_regularity(eps)
     atoms = CutAtomSet(n, starts=starts, seed=seed)
-    dec = strong_decompose(g, atoms, eps, growth, complexity_cap=complexity_cap)
+    dec = strong_decompose(g, atoms, eps, growth)
     cell_ids, signatures = _atom_cells(n, dec.atoms)
     n_cells = len(signatures)
     required = math.ceil(4 * n_cells * max(m, 1.0 / eps))

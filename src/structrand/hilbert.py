@@ -28,6 +28,8 @@ EPS_TOL = 1e-9
 MIN_CORR = 1e-12
 # Reconstruction / orthogonality tolerance the certificates promise.
 RECON_TOL = 1e-10
+# Wall-clock allowance for all stages of one strong split.
+STAGE_TIME_S = 300.0
 
 
 def inner_product(f, g) -> float:
@@ -65,25 +67,39 @@ class CorrelationScan:
 class AtomSet:
     """A finite family of structured directions, each of norm at most 1.
 
-    Subclasses provide ``atom_vector`` (dense values of one atom),
+    Subclasses provide ``atom_vector`` (dense values of one atom) and
+    ``correlations`` (the table of <f, atom> over integer keys), which
     ``candidates`` (atoms correlating with f above a threshold, strongest
-    first) and ``scan`` (the pseudorandomness level of f against the family).
+    first) and ``scan`` (the pseudorandomness level of f against the family)
+    rank; families without such a table override those two instead.
     ``exact`` declares whether an empty search certifies that no violating
     atom exists; heuristic sets must leave it False.
     """
 
     exact: bool = True
     name: str = "atoms"
+    max_candidates: int = 64
 
     def atom_vector(self, key) -> np.ndarray:
         raise NotImplementedError
 
-    def candidates(self, f, eps: float) -> list:
-        """(key, <f, atom>) pairs with |<f, atom>| >= eps - EPS_TOL, best first."""
+    def correlations(self, f) -> np.ndarray:
+        """<f, atom> for every atom, indexed by its integer key."""
         raise NotImplementedError
 
+    def candidates(self, f, eps: float) -> list:
+        """(key, <f, atom>) pairs with |<f, atom>| >= eps - EPS_TOL, best first."""
+        corr = self.correlations(f)
+        thresh = max(eps - EPS_TOL, MIN_CORR)
+        idx = np.flatnonzero(np.abs(corr) >= thresh)
+        idx = idx[np.lexsort((idx, -np.abs(corr[idx])))]
+        return [(int(i), float(corr[i])) for i in idx[: self.max_candidates]]
+
     def scan(self, f) -> CorrelationScan:
-        raise NotImplementedError
+        corr = self.correlations(f)
+        best = int(np.argmax(np.abs(corr)))
+        level = float(abs(corr[best]))
+        return CorrelationScan(lower=level, upper=level, exact=True, witness=best)
 
     def key_json(self, key):
         """JSON-serializable description of an atom key."""
@@ -113,24 +129,11 @@ class DenseAtomSet(AtomSet):
     def atom_vector(self, key):
         return self.matrix[key]
 
-    def _correlations(self, f):
+    def correlations(self, f):
         f = np.asarray(f, dtype=float).ravel()
         if f.size != self.matrix.shape[1]:
             raise DimensionMismatchError("vector does not match atom dimension")
         return self.matrix @ f / f.size
-
-    def candidates(self, f, eps):
-        corr = self._correlations(f)
-        thresh = max(eps - EPS_TOL, MIN_CORR)
-        idx = np.flatnonzero(np.abs(corr) >= thresh)
-        idx = idx[np.lexsort((idx, -np.abs(corr[idx])))]
-        return [(int(i), float(corr[i])) for i in idx[: self.max_candidates]]
-
-    def scan(self, f):
-        corr = self._correlations(f)
-        best = int(np.argmax(np.abs(corr)))
-        level = float(abs(corr[best]))
-        return CorrelationScan(lower=level, upper=level, exact=True, witness=best)
 
 
 class GrowthFunction:
@@ -284,9 +287,9 @@ def _check_unit_norm(f):
     return n
 
 
-def _iteration_budget(eps):
-    # floor(1/eps^2), guarded against float dust in 1/eps**2.
-    return int(math.floor((1.0 / (eps * eps)) * (1.0 + 1e-12) + 1e-12))
+def _iteration_budget(eps, energy_cap=1.0):
+    # floor(energy_cap/eps^2), guarded against float dust in 1/eps**2.
+    return int(math.floor((energy_cap / (eps * eps)) * (1.0 + 1e-12) + 1e-12))
 
 
 def energy_decrement_step(f, atom_set: AtomSet, eps: float):
@@ -308,11 +311,6 @@ def energy_decrement_step(f, atom_set: AtomSet, eps: float):
     if abs(c) > 1.0 / eps + EPS_TOL:
         raise CertificateError("projection coefficient exceeds 1/eps")
     return key, c
-
-
-def pseudorandomness_level(f, atom_set: AtomSet) -> CorrelationScan:
-    """Max |<f, v>| over the family (exact scan, or a bracket when heuristic)."""
-    return atom_set.scan(f)
 
 
 def weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
@@ -368,9 +366,7 @@ def weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
 SPAN_REJECT_TOL = 1e-8
 
 
-def orthogonal_weak_decompose(
-    f, atom_set: AtomSet, eps: float, max_iterations=None
-) -> Decomposition:
+def orthogonal_weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
     """Energy-decrement split with f_str an orthogonal projection of f.
 
     Selected atoms are orthonormalized incrementally; f_str is the projection
@@ -382,15 +378,12 @@ def orthogonal_weak_decompose(
     _check_eps(eps)
     _check_unit_norm(f)
     budget = _iteration_budget(eps)
-    if max_iterations is not None:
-        budget = min(budget, max_iterations)
     ortho = []  # orthonormal basis of the current span
     raw = []  # selected atoms, original values
     keys = []
     f_str = np.zeros_like(f)
     f_psd = f.copy()
     trace = []
-    exhausted = False
     while True:
         cands = atom_set.candidates(f_psd, eps)
         picked = None
@@ -413,9 +406,6 @@ def orthogonal_weak_decompose(
         if picked is None:
             break
         if len(keys) >= budget:
-            if max_iterations is not None:
-                exhausted = True
-                break
             raise CertificateError("energy argument violated: budget exceeded")
         key, v, q = picked
         keys.append(key)
@@ -425,11 +415,6 @@ def orthogonal_weak_decompose(
         f_psd = f - f_str
         trace.append(
             {"atom": atom_set.key_json(key), "energy": inner_product(f_psd, f_psd)}
-        )
-    if exhausted:
-        raise BudgetExceededError(
-            "orthogonal decomposition hit its iteration cap",
-            partial={"keys": keys, "iterations": len(keys)},
         )
     if raw:
         gram = np.array([[inner_product(a, b) for b in raw] for a in raw])
@@ -464,6 +449,56 @@ def _ceil_guard(x):
     return int(math.ceil(x - 1e-9))
 
 
+
+
+def run_stages(eps, growth, schedule, refine, *, complexity_cap, energy_cap=1.0):
+    """The pigeonhole stage loop shared by the strong splits.
+
+    Stage i refines at threshold 1/W_i with W_i = ceil(F(M_{i-1})) along
+    M_0 = 1, M_i = schedule(W_i).  ``refine(threshold, build)`` runs one stage
+    and returns (energy it moved, fields for the stage record).  A stage whose
+    M lies beyond ``complexity_cap`` gets build False: it may terminate but
+    must not build, and returns None when structure clears its threshold.
+    The first stage moving at most eps^2 ends the run; the energy is at most
+    ``energy_cap``, so one does within floor(energy_cap/eps^2) + 1 stages.
+    Returns (stage records, the last threshold, the M before it).
+    """
+    if eps <= 0:
+        raise PreconditionError("eps must be positive")
+    m_prev = 1
+    stages = []
+    started = time.monotonic()
+    for index in range(1, _iteration_budget(eps, energy_cap) + 2):
+        width = _ceil_guard(growth(m_prev))
+        threshold = MIN_CORR if math.isinf(width) else 1.0 / width
+        m_next = schedule(width)
+        over_cap = math.isinf(m_next) or m_next > complexity_cap
+        stage = refine(min(threshold, 1.0), not over_cap)
+        if stage is None:
+            raise BudgetExceededError(
+                f"stage {index} needs structure beyond the complexity cap "
+                f"(M = {m_next} > {complexity_cap})",
+                partial={"stages": stages},
+            )
+        moved, fields = stage
+        stages.append(
+            {
+                "stage": index,
+                "M": None if math.isinf(m_next) else int(m_next),
+                "threshold": threshold,
+                **fields,
+            }
+        )
+        if moved <= eps * eps + 1e-12:
+            return stages, threshold, m_prev
+        m_prev = m_next
+        if time.monotonic() - started > STAGE_TIME_S:
+            raise BudgetExceededError(
+                f"stage wall clock exceeded {STAGE_TIME_S}s", partial={"stages": stages}
+            )
+    raise CertificateError("pigeonhole failed: no stage moved at most eps^2 of energy")
+
+
 def strong_decompose(
     f,
     atom_set: AtomSet,
@@ -471,7 +506,6 @@ def strong_decompose(
     growth: GrowthFunction,
     *,
     complexity_cap: int = 10**6,
-    stage_time_s: float = 300.0,
 ) -> Decomposition:
     """Three-part split with pseudorandomness quality set by a growth function.
 
@@ -485,78 +519,53 @@ def strong_decompose(
     The complexity cap applies to structure actually built: a stage whose
     threshold sits beyond the cap is still allowed to *terminate* immediately
     (its scan finds nothing), but selecting an atom there raises
-    BudgetExceededError, as does exceeding the per-stage wall clock.
+    BudgetExceededError, as does exceeding the stage wall clock.
     """
     f = np.asarray(f, dtype=float)
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
     _check_unit_norm(f)
-    max_stage = _iteration_budget(eps) + 1
-    m_prev = 1
+    f_str, atoms = np.zeros_like(f), []  # built by the kept stages
     residual = f.copy()
-    cumulative = np.zeros_like(f)
-    atoms_so_far = []
-    stages = []
-    started = time.monotonic()
-    prev_energy = inner_product(residual, residual)
-    for stage_index in range(1, max_stage + 1):
-        m_next = _ceil_guard(growth(m_prev))
-        stage_eps = 1.0 / m_next if not math.isinf(m_next) else MIN_CORR
-        iter_cap = None
-        if math.isinf(m_next) or m_next > complexity_cap:
-            iter_cap = 0  # may terminate, must not build structure
-        try:
-            dec = orthogonal_weak_decompose(
-                residual, atom_set, min(stage_eps, 1.0), max_iterations=iter_cap
-            )
-        except BudgetExceededError as exc:
+    last = None  # the latest stage's split of residual: (f_str, f_psd, atoms, trace)
+
+    def refine(threshold, build):
+        nonlocal f_str, residual, last
+        if last is not None:  # a stage runs only when the last one moved too much energy
+            last_str, residual, last_atoms, _ = last
+            f_str = f_str + last_str
+            atoms.extend(last_atoms)
+        if build:
+            dec = orthogonal_weak_decompose(residual, atom_set, threshold)
+            last = (dec.f_str, dec.f_psd, dec.atoms, dec.trace)
+        elif atom_set.candidates(residual, threshold):
+            return None
+        else:
+            last = (np.zeros_like(f), residual, [], [])
+        _, f_psd, stage_atoms, _ = last
+        if len(atoms) + len(stage_atoms) > complexity_cap:
             raise BudgetExceededError(
-                f"stage {stage_index} needs structure beyond the complexity cap "
-                f"(threshold M = {m_next} > {complexity_cap})",
-                partial={"stages": stages, "atoms": atoms_so_far},
-            ) from exc
-        energy = inner_product(dec.f_psd, dec.f_psd)
-        drop = prev_energy - energy
-        stages.append(
-            {
-                "stage": stage_index,
-                "M": None if math.isinf(m_next) else int(m_next),
-                "threshold": stage_eps,
-                "atoms": len(dec.atoms),
-                "energy_drop": drop,
-            }
-        )
-        if len(atoms_so_far) + len(dec.atoms) > complexity_cap:
-            raise BudgetExceededError(
-                "total structured complexity exceeded the cap",
-                partial={"stages": stages, "atoms": atoms_so_far},
+                "total structured complexity exceeded the cap", partial={"atoms": atoms}
             )
-        if drop <= eps * eps + 1e-12:
-            final = atom_set.scan(dec.f_psd)
-            return Decomposition(
-                atoms=list(atoms_so_far),
-                f_str=cumulative,
-                f_psd=dec.f_psd,
-                f_err=dec.f_str,
-                complexity_m=max(len(atoms_so_far), 1),
-                coeff_bound_k=max((abs(c) for _, c in atoms_so_far), default=0.0),
-                pseudorandomness_eps=stage_eps,
-                pseudo_exact=final.exact,
-                pseudo_found=final.lower,
-                error_norm=eps,
-                iterations=sum(s["atoms"] for s in stages),
-                trace=dec.trace,
-                stages=stages,
-                growth_m=m_prev,
-            )
-        cumulative = cumulative + dec.f_str
-        atoms_so_far.extend(dec.atoms)
-        residual = dec.f_psd
-        prev_energy = energy
-        m_prev = m_next
-        if time.monotonic() - started > stage_time_s:
-            raise BudgetExceededError(
-                f"stage wall clock exceeded {stage_time_s}s",
-                partial={"stages": stages, "atoms": atoms_so_far},
-            )
-    raise CertificateError("pigeonhole failed: no stage had a small energy drop")
+        drop = inner_product(residual, residual) - inner_product(f_psd, f_psd)
+        return drop, {"atoms": len(stage_atoms), "energy_drop": drop}
+
+    stages, threshold, growth_m = run_stages(
+        eps, growth, lambda width: width, refine, complexity_cap=complexity_cap
+    )
+    f_err, f_psd, _, trace = last
+    final = atom_set.scan(f_psd)
+    return Decomposition(
+        atoms=list(atoms),
+        f_str=f_str,
+        f_psd=f_psd,
+        f_err=f_err,
+        complexity_m=max(len(atoms), 1),
+        coeff_bound_k=max((abs(c) for _, c in atoms), default=0.0),
+        pseudorandomness_eps=threshold,
+        pseudo_exact=final.exact,
+        pseudo_found=final.lower,
+        error_norm=eps,
+        iterations=sum(s["atoms"] for s in stages),
+        trace=trace,
+        stages=stages,
+        growth_m=growth_m,
+    )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from structrand.cli import main
-from structrand.io import save_edge_list, save_vector_json
+from structrand.io import save_edge_list, save_vector_binary, save_vector_json
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -37,6 +37,17 @@ class TestGowersCommand:
         assert code == 0
         payload = json.loads(out.read_text())["payload"]
         assert payload["norms"]["U2"] == pytest.approx(1.0)
+
+    def test_binary_vector_input(self, tmp_path):
+        f = np.random.default_rng(2).uniform(-1.0, 1.0, 64)
+        save_vector_json(tmp_path / "f.json", f)
+        save_vector_binary(tmp_path / "f.bin", f)
+        payloads = []
+        for name in ("f.json", "f.bin"):
+            code, out = run_cli(["decompose", "--input", str(tmp_path / name)], tmp_path)
+            assert code == 0
+            payloads.append(json.loads(out.read_text())["payload"])
+        assert payloads[0] == payloads[1]
 
 
 class TestDecomposeCommand:
@@ -178,6 +189,19 @@ class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
         code = main(["gowers", "--input", str(tmp_path / "nope.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["random:n", "random:n=8,x", "gnp:n=abc"])
+    def test_malformed_generator(self, spec, capsys):
+        command = "graph-reg" if spec.startswith("gnp") else "decompose"
+        assert main([command, "--gen", spec]) == 2
+        assert "not key=number" in capsys.readouterr().err
+
+    def test_input_and_gen_exclusive(self, tmp_path):
+        path = tmp_path / "f.json"
+        save_vector_json(path, np.zeros(16))
+        with pytest.raises(SystemExit) as exc:
+            main(["gowers", "--input", str(path), "--gen", "random:n=4"])
+        assert exc.value.code == 2
 
     def test_budget_exhaustion(self, tmp_path):
         code = main(["gowers", "--gen", "random:n=10", "--d", "3"])

@@ -13,7 +13,6 @@ from structrand import (
     conditional_expectation,
     dyadic_interval_family,
     energy_increment_step,
-    factor_join,
     interval_factor,
     level_set_factor,
     projection_norm,
@@ -128,7 +127,7 @@ class TestFactorJoin:
     def test_join_self_is_self(self):
         rng = np.random.default_rng(7)
         y = random_factor(rng, 32, 4)
-        assert factor_join(y, y) == y
+        assert y.join(y) == y
 
     def test_join_with_trivial(self):
         rng = np.random.default_rng(8)

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from structrand import (
+    BudgetExceededError,
     CertificateError,
     DenseAtomSet,
+    FiniteProbabilitySpace,
     GrowthFunction,
     PreconditionError,
     character,
     character_atoms,
+    dyadic_interval_family,
     energy_decrement_step,
     inner_product,
     norm,
     orthogonal_weak_decompose,
-    pseudorandomness_level,
     strong_decompose,
+    strong_factor_decompose,
     weak_decompose,
 )
 
@@ -76,7 +79,7 @@ class TestEnergyDecrementStep:
         rng = np.random.default_rng(3)
         f = normalized(rng, 64)
         atoms = character_atoms(6)
-        level = pseudorandomness_level(f, atoms).lower
+        level = atoms.scan(f).lower
         assert energy_decrement_step(f, atoms, min(1.0, level * 2)) is None
 
     def test_energy_decrement_bound(self):
@@ -126,7 +129,7 @@ class TestWeakDecompose:
             f = normalized(rng, 64)
             dec = weak_decompose(f, atoms, eps)
             assert dec.iterations <= math.floor(1 / eps**2 + 1e-9)
-            assert pseudorandomness_level(dec.f_psd, atoms).lower < eps
+            assert atoms.scan(dec.f_psd).lower < eps
             assert norm(f - dec.reconstruct()) <= 1e-10
             dec.verify(f, atoms)
 
@@ -144,7 +147,7 @@ class TestOrthogonalWeakDecompose:
         rng = np.random.default_rng(8)
         f = normalized(rng, 64)
         atoms = character_atoms(6)
-        level = pseudorandomness_level(f, atoms).lower
+        level = atoms.scan(f).lower
         dec = orthogonal_weak_decompose(f, atoms, min(1.0, level * 1.5))
         assert dec.iterations == 0
         assert norm(dec.f_str) == 0.0
@@ -206,6 +209,55 @@ class TestStrongDecompose:
         )
         assert norm(dec.f_psd) <= 1e-12
         dec.verify(f, atoms)
+
+
+def hilbert_stages(f, eps, cap):
+    # M runs 2, 4, 8, ...
+    dec = strong_decompose(
+        f, character_atoms(4), eps, GrowthFunction.linear(2), complexity_cap=cap
+    )
+    return dec.stages
+
+
+def factor_stages(f, eps, cap):
+    # M runs 9, 361, ...
+    space = FiniteProbabilitySpace.uniform(16)
+    dec = strong_factor_decompose(
+        space,
+        f,
+        dyadic_interval_family(16, 4),
+        eps,
+        GrowthFunction.linear(2, offset=1),
+        complexity_cap=cap,
+    )
+    return dec.stages
+
+
+# Each split with an input that stage 1 explains fully, and a cap that the
+# first stage's M stays within while the second stage's M exceeds it.
+STRONG_SPLITS = [
+    pytest.param(hilbert_stages, 0.5 * character(4, 3), 3, id="hilbert"),
+    pytest.param(factor_stages, np.repeat([1.0, 0.0], 8), 100, id="factors"),
+]
+
+
+@pytest.mark.parametrize("stages_of, f, cap", STRONG_SPLITS)
+class TestStagedContract:
+    def test_structure_past_cap_raises(self, stages_of, f, cap):
+        with pytest.raises(BudgetExceededError):
+            stages_of(f, 0.3, 1)
+
+    def test_explained_input_terminates_past_cap(self, stages_of, f, cap):
+        stages = stages_of(f, 0.3, cap)
+        assert len(stages) == 2
+        assert stages[0]["M"] <= cap < stages[1]["M"]
+
+    def test_stage_bound(self, stages_of, f, cap):
+        rng = np.random.default_rng(21)
+        for eps in (0.3, 0.5, 0.8):
+            for _ in range(5):
+                g = rng.uniform(-1.0, 1.0, 16)
+                assert len(stages_of(g, eps, 10**6)) <= math.floor(1 / eps**2) + 1
 
 
 class TestGrowthFunction:
