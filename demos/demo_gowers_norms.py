@@ -21,7 +21,7 @@ for d in (1, 2, 3):
     print(f"  U{d} = {gowers_norm(f, d):.6f}")
 print("  sup =", np.abs(f).max())
 
-print("\nU2 two ways (recursion vs transform):")
+print("\nU2 two ways (norm engine vs the sum of fhat^4):")
 print("  ", gowers_norm(f, 2), gowers_norm_u2_fft(f))
 
 print("\ncodes of low degree are maximally structured:")

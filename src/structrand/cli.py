@@ -29,7 +29,7 @@ from .factors import (
     dyadic_interval_family,
     sparse_decompose,
 )
-from .gowers import gowers_norm, gowers_norm_u2_fft
+from .gowers import MAX_D, _u2_power_by_shifts, gowers_norm, gowers_norm_u2_fft
 from .graphs import CutAtomSet, szemeredi_regularize, weak_regularize
 from .hilbert import GrowthFunction, norm, orthogonal_weak_decompose, strong_decompose, weak_decompose
 from .inverse import inverse_99, inverse_100
@@ -144,13 +144,17 @@ def cmd_gowers(args) -> tuple[dict, list]:
     rng = rng_for(args.seed, "gowers")
     f = make_cube_function(args, rng)
     n = cube_dim(f)
-    d = args.d or 3
+    d = 3 if args.d is None else args.d
+    if not 1 <= d <= MAX_D:
+        raise PreconditionError(f"--d must lie in 1..{MAX_D}, got {d}")
     norms = [gowers_norm(f, k) for k in range(1, d + 1)]
     u2_fft = gowers_norm_u2_fft(f) if d >= 2 else None
     sup = float(np.max(np.abs(f)))
     chain_ok = all(norms[i] <= norms[i + 1] + 1e-9 for i in range(len(norms) - 1))
     chain_ok = chain_ok and norms[-1] <= sup + 1e-9
-    fft_ok = u2_fft is None or abs(norms[1] - u2_fft) <= 1e-9
+    # both transform-side values against the shift side E_h (E_x f f_h)^2
+    u2_shifts = _u2_power_by_shifts(f) ** 0.25 if d >= 2 else None
+    fft_ok = d < 2 or max(abs(norms[1] - u2_shifts), abs(u2_fft - u2_shifts)) <= 1e-9
     if not (chain_ok and fft_ok):
         raise CertificateError("uniformity-norm identities failed")
     payload = {
@@ -291,7 +295,7 @@ def cmd_weak_reg(args) -> tuple[dict, list]:
 def cmd_inverse(args) -> tuple[dict, list]:
     rng = rng_for(args.seed, "inverse")
     f = make_cube_function(args, rng)
-    d = args.d or 2
+    d = 2 if args.d is None else args.d
     delta = args.delta
     payload = {"d": d, "n": cube_dim(f)}
     if delta in (None, 0, 0.0):

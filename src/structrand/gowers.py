@@ -1,59 +1,118 @@
 """Uniformity norms U^d on F_2^n, dual functions, and the von Neumann bound.
 
 U^d averages the product of f over all d-dimensional parallelepipeds
-{x + sum of a subset of h_1..h_d}; the code evaluates it either from that
-definition directly (small cubes) or through the recursion
-U^d(f)^(2^d) = E_h U^{d-1}(f * f_h)^(2^{d-1}).
+{x + sum of a subset of h_1..h_d}.  One engine evaluates it on a stack of
+functions: multiplicative derivatives f * f_h reduce U^d to U^{d-1},
+||f||_{U^d}^(2^d) = E_h ||f * f_h||_{U^{d-1}}^(2^{d-1}), down to the
+transform identity ||g||_{U^2}^4 = sum of ghat^4.  The dual functions follow
+the same recursion down to D_2 f = the inverse transform of fhat^3.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cube import cube_dim, f2_matrix_rank, f2_matvec_table, shift, walsh_hadamard
+from .cube import (
+    cube_dim,
+    f2_matrix_rank,
+    f2_matvec_table,
+    inverse_walsh_hadamard,
+    shift,
+    walsh_hadamard,
+)
 from .errors import BudgetExceededError, CertificateError, PreconditionError
 
-DEFAULT_MAX_D = 4
-DEFAULT_BUDGET_BITS = 26
-DIRECT_BITS = 24  # direct evaluation keeps the full (x, h_1..h_d) grid this small
-AUTO_DIRECT_BITS = 20  # "auto" switches to the recursion beyond this grid size
+MAX_D = 4
+# U^d and D_d on F_2^n touch 2^{n * max(d - 1, 1)} cells: one row per
+# derivative chain of length d - 2, each transformed once.
+BUDGET_BITS = 26
+# Derivative rows are materialized this many cells at a time.
+BLOCK_CELLS = 1 << 16
 
 
-def _u_power_recursive(f, d):
-    """||f||_{U^d}^(2^d) via the shift recursion."""
+def _rows(fs, d):
+    """fs as a float stack of cube functions, once d and the cost are admissible."""
+    rows = np.asarray(fs, dtype=float)
+    n = cube_dim(rows)
+    if not 1 <= d <= MAX_D:
+        raise PreconditionError(f"d must lie in 1..{MAX_D}, got {d}")
+    bits = n * max(d - 1, 1)
+    if bits > BUDGET_BITS:
+        raise BudgetExceededError(
+            f"U^{d} at n={n} touches ~2^{bits} cells, beyond 2^{BUDGET_BITS}"
+        )
+    return rows
+
+
+def translate_blocks(rows):
+    """Yield the translates of a (count, 2^n) stack, a block of consecutive
+    shifts h at a time: block[r, i] is row r translated by the i-th h.
+
+    Each block holds about BLOCK_CELLS cells (at least one translate per
+    row), so derivative stacks rows[:, None] * block stay small.
+    """
+    count, size = rows.shape
+    x = np.arange(size)
+    step = max(1, BLOCK_CELLS // (count * size))
+    for lo in range(0, size, step):
+        h = np.arange(lo, min(lo + step, size))
+        yield rows[:, x[None, :] ^ h[:, None]]
+
+
+def _u_power(rows, d):
+    """||g||_{U^d}^(2^d) of every row g of a (count, 2^n) stack."""
     if d == 1:
-        m = float(f.mean())
+        m = rows.mean(axis=-1)
         return m * m
-    size = f.size
     if d == 2:
-        if size * size <= 1 << 22:
-            idx = np.arange(size)[None, :] ^ np.arange(size)[:, None]
-            prods = f[idx] * f[None, :]
-            row = prods.mean(axis=1)
-            return float((row * row).mean())
-        total = 0.0
-        for h in range(size):
-            m = float((f * shift(f, h)).mean())
-            total += m * m
-        return total / size
-    total = 0.0
-    for h in range(size):
-        total += _u_power_recursive(f * shift(f, h), d - 1)
-    return total / size
+        sq = walsh_hadamard(rows) ** 2
+        return np.sum(sq * sq, axis=-1)
+    count, size = rows.shape
+    out = np.zeros(count)
+    for shifted in translate_blocks(rows):
+        ders = (rows[:, None, :] * shifted).reshape(-1, size)
+        out += _u_power(ders, d - 1).reshape(count, -1).sum(axis=1)
+    return out / size
+
+
+def _dual(rows, d):
+    """D_d g of every row g: the parallelepiped average with the vertex x left out."""
+    if d == 1:
+        return np.repeat(rows.mean(axis=-1, keepdims=True), rows.shape[-1], axis=-1)
+    if d == 2:
+        spec = walsh_hadamard(rows)
+        return inverse_walsh_hadamard(spec * spec * spec)
+    size = rows.shape[-1]
+    out = np.zeros(rows.shape)
+    # D_d g(x) = E_h g(x + h) D_{d-1}(g * g_h)(x)
+    for shifted in translate_blocks(rows):
+        ders = (rows[:, None, :] * shifted).reshape(-1, size)
+        out += (shifted * _dual(ders, d - 1).reshape(shifted.shape)).sum(axis=1)
+    return out / size
+
+
+def _u2_power_by_shifts(f):
+    """||f||_{U^2}^4 on the shift side, E_h (E_x f f_h)^2, without a transform.
+
+    Only the CLI's transform-identity check uses it: it is the second,
+    independent computation that the transform-based engine is compared with.
+    """
+    return sum(float((f * shift(f, h)).mean()) ** 2 for h in range(f.size)) / f.size
 
 
 def _u_power_direct(f, d):
     """||f||_{U^d}^(2^d) straight from the parallelepiped average.
 
-    Vectorizes over as many shift axes as fit in a 2^20 grid and loops the
-    rest, so the full (x, h_1..h_d) average is evaluated literally.
+    The literal reference the tests hold the engine to.  Vectorizes over as
+    many shift axes as fit in a 2^20 grid and loops the rest, so the full
+    (x, h_1..h_d) average is evaluated literally.
     """
     size = f.size
     if d == 1:
         m = float(f.mean())
         return m * m
     n = size.bit_length() - 1
-    inner = max(1, min(d, AUTO_DIRECT_BITS // n - 1))
+    inner = max(1, min(d, 20 // max(n, 1) - 1))
     outer_count = d - inner
     grids = []
     for a in range(inner):
@@ -78,41 +137,14 @@ def _u_power_direct(f, d):
     return total / size**outer_count
 
 
-def gowers_norm(
-    f,
-    d: int,
-    method: str = "auto",
-    budget_bits: int = DEFAULT_BUDGET_BITS,
-    max_d: int = DEFAULT_MAX_D,
-) -> float:
-    """The uniformity norm ||f||_{U^d} on F_2^n.
+def gowers_norm(f, d: int) -> float:
+    """The uniformity norm ||f||_{U^d} on F_2^n, for 1 <= d <= MAX_D.
 
-    ``method`` picks the evaluation route: "direct" averages over every
-    affine map (grid of n*(d+1) bits, refused beyond 24), "recursive" applies
-    the shift recursion, "auto" uses direct for tiny grids and the recursion
-    otherwise.  Both routes are exact; the cost cap 2^{n d} guards either.
+    Refused with BudgetExceededError when the 2^{n * max(d - 1, 1)} cells
+    it touches exceed 2^BUDGET_BITS.
     """
-    f = np.asarray(f, dtype=float)
-    n = cube_dim(f)
-    if not 1 <= d <= max_d:
-        raise PreconditionError(f"d must lie in 1..{max_d}, got {d}")
-    if n * d > budget_bits:
-        raise BudgetExceededError(
-            f"U^{d} at n={n} needs ~2^{n * d} evaluations, beyond 2^{budget_bits}"
-        )
-    if method == "auto":
-        method = "direct" if n * (d + 1) <= AUTO_DIRECT_BITS else "recursive"
-    if method == "direct":
-        if n * (d + 1) > DIRECT_BITS:
-            raise BudgetExceededError(
-                f"direct U^{d} at n={n} needs a 2^{n * (d + 1)} grid"
-            )
-        power = _u_power_direct(f, d)
-    elif method == "recursive":
-        power = _u_power_recursive(f, d)
-    else:
-        raise PreconditionError(f"unknown method {method!r}")
-    return max(power, 0.0) ** (1.0 / (1 << d))
+    power = _u_power(_rows(np.reshape(f, (1, -1)), d), d)[0]
+    return float(max(power, 0.0) ** (1.0 / (1 << d)))
 
 
 def gowers_norm_u2_fft(f) -> float:
@@ -121,73 +153,24 @@ def gowers_norm_u2_fft(f) -> float:
     return float(np.sum(spec**4) ** 0.25)
 
 
-def _u_power_recursive_batch(fs, d):
-    size = fs.shape[1]
-    if d == 1:
-        m = fs.mean(axis=1)
-        return m * m
-    x = np.arange(size)
-    out = np.zeros(fs.shape[0])
-    for h in range(size):
-        shifted = fs[:, x ^ h]
-        if d == 2:
-            m = (fs * shifted).mean(axis=1)
-            out += m * m
-        else:
-            out += _u_power_recursive_batch(fs * shifted, d - 1)
-    return out / size
-
-
-def gowers_norm_batch(fs, d: int, budget_bits: int = DEFAULT_BUDGET_BITS) -> np.ndarray:
-    """U^d of every row of a (count, 2^n) matrix, via the shift recursion.
+def gowers_norm_batch(fs, d: int) -> np.ndarray:
+    """U^d of every row of a (count, 2^n) matrix.
 
     Row-for-row equal to :func:`gowers_norm`; exists because sweeps over whole
     code families would otherwise pay the Python dispatch cost per function.
     """
-    fs = np.asarray(fs, dtype=float)
-    if fs.ndim != 2:
+    if np.ndim(fs) != 2:
         raise PreconditionError("expected one function per row")
-    n = cube_dim(fs[0])
-    if not 1 <= d <= DEFAULT_MAX_D:
-        raise PreconditionError(f"d must lie in 1..{DEFAULT_MAX_D}")
-    if n * d > budget_bits:
-        raise BudgetExceededError(f"U^{d} at n={n} is beyond 2^{budget_bits}")
-    power = np.maximum(_u_power_recursive_batch(fs, d), 0.0)
+    power = np.maximum(_u_power(_rows(fs, d), d), 0.0)
     return power ** (1.0 / (1 << d))
 
 
-def dual_function(f, d: int, budget_bits: int = DIRECT_BITS) -> np.ndarray:
+def dual_function(f, d: int) -> np.ndarray:
     """Df(x): average of the product of f over all parallelepiped vertices but x.
 
     Satisfies <f, Df> = ||f||_{U^d}^(2^d) under the averaging inner product.
     """
-    f = np.asarray(f, dtype=float)
-    n = cube_dim(f)
-    if d < 1:
-        raise PreconditionError("d must be at least 1")
-    if n * (d + 1) > budget_bits:
-        raise BudgetExceededError(
-            f"dual function at n={n}, d={d} needs a 2^{n * (d + 1)} grid"
-        )
-    size = f.size
-    x = np.arange(size)
-    out = np.zeros(size)
-    # vectorize over (h_d, x); loop h_1..h_{d-1}
-    grid_h = x[:, None]
-    grid_x = x[None, :]
-    for outer in np.ndindex(*([size] * (d - 1))):
-        acc = np.ones((size, size))
-        for vertex in range(1, 1 << d):
-            offset = 0
-            for j in range(d - 1):
-                if (vertex >> j) & 1:
-                    offset ^= outer[j]
-            idx = grid_x ^ offset
-            if (vertex >> (d - 1)) & 1:
-                idx = idx ^ grid_h
-            acc = acc * f[idx]
-        out += acc.mean(axis=0)
-    return out / size ** (d - 1)
+    return _dual(_rows(np.reshape(f, (1, -1)), d), d)[0]
 
 
 def gvn_defect(f, g, h, t1, t2):

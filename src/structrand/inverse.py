@@ -16,14 +16,13 @@ from .cube import (
     F2Polynomial,
     cube_dim,
     ensure_pm_one,
-    mobius_transform,
+    inverse_walsh_hadamard,
     parity,
     reed_muller_atoms,
-    shift,
     walsh_hadamard,
 )
 from .errors import CertificateError, PreconditionError
-from .gowers import gowers_norm
+from .gowers import gowers_norm, translate_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -86,26 +85,26 @@ class Inverse99Recovery:
         }
 
 
-def _derivative_polynomials(f, d, members):
-    """Best degree-(d-2) fit P_h for every shift h in ``members``.
+def _derivative_fits(f, d):
+    """Gate level and best degree-(d-2) fit P_h of every derivative f * f_h.
 
-    For d = 2 the fit is a constant sign; for d = 3 it is the strongest
-    character of f * f_h plus a sign.  Returns (xi_mask, const_bit, agreement)
-    per shift.
+    Returns arrays over all shifts h: the level, and the fit as a character
+    mask xi plus the signed correlation of f * f_h with e_xi.  For d = 2 the
+    level is |E_x f(x) f(x+h)|, read off the autocorrelation (the inverse
+    transform of fhat^2), and xi = 0.  For d = 3 the derivatives are
+    transformed a block of shifts at a time: the level is
+    ||f * f_h||_{U^2} = (sum of ghat^4)^(1/4) and xi the strongest character.
     """
-    out = {}
-    for h in members:
-        g = f * shift(f, h)
-        if d == 2:
-            m = float(g.mean())
-            xi, bit, corr = 0, (0 if m >= 0 else 1), abs(m)
-        else:
-            spec = walsh_hadamard(g)
-            xi = int(np.argmax(np.abs(spec)))
-            bit = 0 if spec[xi] >= 0 else 1
-            corr = float(abs(spec[xi]))
-        out[h] = (xi, bit, (1.0 + corr) / 2.0)
-    return out
+    if d == 2:
+        auto = inverse_walsh_hadamard(walsh_hadamard(f) ** 2)
+        return np.abs(auto), np.zeros(f.size, dtype=np.int64), auto
+    parts = []
+    for shifted in translate_blocks(f[None, :]):
+        spec = walsh_hadamard(f * shifted[0])
+        xi = np.argmax(np.abs(spec), axis=-1)
+        sq = spec * spec
+        parts.append((np.sum(sq * sq, axis=-1) ** 0.25, xi, spec[np.arange(xi.size), xi]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def inverse_99(f, d: int, delta: float):
@@ -126,7 +125,6 @@ def inverse_99(f, d: int, delta: float):
     cap = INVERSE99_DELTA_CAP[d]
     if not 0 <= delta <= cap:
         raise PreconditionError(f"delta must lie in [0, {cap}] for d={d}")
-    n = cube_dim(f)
     size = f.size
 
     u = gowers_norm(f, d)
@@ -135,30 +133,20 @@ def inverse_99(f, d: int, delta: float):
         return None
 
     shift_gate = 1.0 - float(np.sqrt(delta)) - NORM_ONE_TOL
-    good = []
-    for h in range(size):
-        g = f * shift(f, h)
-        level = gowers_norm(g, d - 1) if d > 2 else abs(float(g.mean()))
-        if level >= shift_gate:
-            good.append(h)
-    frac = len(good) / size
+    level, xi_arr, corr = _derivative_fits(f, d)
+    bit_arr = (corr < 0).astype(np.int64)
+    good = level >= shift_gate
+    frac = np.count_nonzero(good) / size
     if frac < 0.5:
         logger.info("inverse_99: only %.3f of shifts pass the derivative gate", frac)
         return None
 
-    fits = _derivative_polynomials(f, d, good)
-    kept = [h for h in good if fits[h][2] >= VOTE_THRESHOLD]
-    if len(kept) / size < 0.5:
+    kept_set = good & ((1.0 + np.abs(corr)) / 2.0 >= VOTE_THRESHOLD)
+    h1 = np.flatnonzero(kept_set)
+    if h1.size / size < 0.5:
         logger.info("inverse_99: derivative majorities below %.2f", VOTE_THRESHOLD)
         return None
-    kept_set = np.zeros(size, dtype=bool)
-    kept_set[kept] = True
-    xi_arr = np.zeros(size, dtype=np.int64)
-    bit_arr = np.zeros(size, dtype=np.int64)
-    for h in kept:
-        xi_arr[h], bit_arr[h] = fits[h][0], fits[h][1]
 
-    h1 = np.array(kept, dtype=np.int64)
     q_bits = np.zeros(size, dtype=np.int64)
     min_vote = 1.0
     for k in range(size):
@@ -191,7 +179,7 @@ def inverse_99(f, d: int, delta: float):
         poly=poly,
         sign=sign,
         correlation=abs(ip),
-        good_shift_fraction=len(kept) / size,
+        good_shift_fraction=h1.size / size,
         min_vote_fraction=min_vote,
         derivative_degree=d - 2,
     )

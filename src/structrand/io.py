@@ -46,13 +46,20 @@ def save_vector_binary(path, values):
         fh.write(values.tobytes())
 
 
-def load_vector_binary(path) -> np.ndarray:
+def _load_binary(path, what, cells):
+    """(header, float64 payload) of a length-prefixed binary file whose
+    payload holds cells(header) values; a short file is a PreconditionError."""
     with open(path, "rb") as fh:
-        (count,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-    if data.size != count:
-        raise PreconditionError("binary vector file is truncated")
-    return data.astype(float)
+        raw = fh.read()
+    header = struct.unpack_from("<Q", raw)[0] if len(raw) >= 8 else None
+    if header is None or len(raw) - 8 < 8 * cells(header):
+        raise PreconditionError(f"binary {what} file is truncated")
+    data = np.frombuffer(raw, dtype="<f8", count=cells(header), offset=8)
+    return header, data.astype(float)
+
+
+def load_vector_binary(path) -> np.ndarray:
+    return _load_binary(path, "vector", lambda count: count)[1]
 
 
 # --- subsets of the cube -----------------------------------------------------
@@ -121,12 +128,8 @@ def save_adjacency_binary(path, g):
 
 
 def load_adjacency_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        (n,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
-    if data.size != n * n:
-        raise PreconditionError("binary adjacency file is truncated")
-    return data.reshape(n, n).astype(float)
+    n, data = _load_binary(path, "adjacency", lambda n: n * n)
+    return data.reshape(n, n)
 
 
 def partition_to_dot(partition) -> str:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -37,6 +38,30 @@ class TestGowersCommand:
         assert code == 0
         payload = json.loads(out.read_text())["payload"]
         assert payload["norms"]["U2"] == pytest.approx(1.0)
+
+    def test_single_point_cube(self, tmp_path):
+        code, out = run_cli(["gowers", "--gen", "random:n=0", "--d", "3"], tmp_path)
+        assert code == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["n"] == 0
+        assert len(payload["norms"]) == 3
+        for value in payload["norms"].values():
+            assert value == pytest.approx(payload["sup_norm"], abs=1e-12)
+
+    @pytest.mark.parametrize("route", ["gowers_norm", "gowers_norm_u2_fft", "_u2_power_by_shifts"])
+    def test_corrupted_u2_route_fails_identity(self, route, monkeypatch, capsys):
+        # every U^2 value is held to an independent computation, so skewing
+        # any single route breaks the transform identity
+        import structrand.cli as cli
+
+        original = getattr(cli, route)
+
+        def skewed(f, *d):  # U^2 values only; gowers_norm also serves U^1
+            return original(f, *d) * (1.01 if d in ((), (2,)) else 1.0)
+
+        monkeypatch.setattr(cli, route, skewed)
+        assert main(["gowers", "--gen", "random:n=6", "--d", "2"]) == 3
+        assert "identities failed" in capsys.readouterr().err
 
     def test_binary_vector_input(self, tmp_path):
         f = np.random.default_rng(2).uniform(-1.0, 1.0, 64)
@@ -196,6 +221,33 @@ class TestExitCodes:
         assert main([command, "--gen", spec]) == 2
         assert "not key=number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gowers", "graph-reg"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"\x01\x02\x03", struct.pack("<Q", 1 << 62) + b"\x00" * 8],
+        ids=["short-header", "huge-header"],
+    )
+    def test_malformed_binary_input(self, tmp_path, capsys, command, content):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(content)
+        assert main([command, "--input", str(path)]) == 2
+        assert "binary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gowers", "--d", "0"],
+            ["gowers", "--d", "-1"],
+            ["gowers", "--d", "5"],
+            ["inverse", "--d", "0"],
+            ["inverse", "--d", "0", "--delta", "0.1"],
+        ],
+        ids=["gowers-0", "gowers-neg", "gowers-5", "inverse-exact-0", "inverse-noisy-0"],
+    )
+    def test_out_of_range_d(self, argv, capsys):
+        assert main(argv) == 2
+        assert "d must" in capsys.readouterr().err
+
     def test_input_and_gen_exclusive(self, tmp_path):
         path = tmp_path / "f.json"
         save_vector_json(path, np.zeros(16))
@@ -204,5 +256,5 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_budget_exhaustion(self, tmp_path):
-        code = main(["gowers", "--gen", "random:n=10", "--d", "3"])
+        code = main(["gowers", "--gen", "random:n=14", "--d", "3"])
         assert code == 4

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structrand import (
     BudgetExceededError,
@@ -7,10 +9,15 @@ from structrand import (
     PreconditionError,
     dual_function,
     gowers_norm,
+    gowers_norm_batch,
     gowers_norm_u2_fft,
     gvn_defect,
     inner_product,
+    inverse_walsh_hadamard,
+    walsh_hadamard,
 )
+
+from structrand.gowers import _u_power_direct
 
 from oracles import naive_dual, naive_gowers_norm
 
@@ -57,13 +64,13 @@ class TestGowersNorm:
             assert gowers_norm(f, d) == pytest.approx(naive_gowers_norm(f, d), abs=1e-9)
 
     def test_direct_equals_recursive(self):
+        # the derivative recursion against the literal parallelepiped average
         rng = np.random.default_rng(1)
         for _ in range(5):
             f = rng.uniform(-1, 1, 16)
             for d in (1, 2, 3):
-                direct = gowers_norm(f, d, method="direct")
-                recursive = gowers_norm(f, d, method="recursive")
-                assert abs(direct - recursive) <= 1e-9
+                direct = max(_u_power_direct(f, d), 0.0) ** (1.0 / (1 << d))
+                assert abs(gowers_norm(f, d) - direct) <= 1e-9
 
     def test_monotone_in_d(self):
         rng = np.random.default_rng(2)
@@ -77,14 +84,13 @@ class TestGowersNorm:
     def test_budget_and_d_caps(self):
         with pytest.raises(PreconditionError):
             gowers_norm(np.ones(8), 5)
+        # the recursion touches 2^{n (d - 1)} cells: 2^28 for U^3 at n = 14
         with pytest.raises(BudgetExceededError):
-            gowers_norm(np.ones(1 << 10), 3)
+            gowers_norm(np.ones(1 << 14), 3)
         with pytest.raises(BudgetExceededError):
-            gowers_norm(np.ones(1 << 10), 2, method="direct")
+            gowers_norm(np.ones(1 << 9), 4)
 
     def test_batch_matches_single(self):
-        from structrand import gowers_norm_batch
-
         rng = np.random.default_rng(21)
         fs = rng.uniform(-1, 1, (20, 16))
         for d in (1, 2, 3):
@@ -157,7 +163,52 @@ class TestDualFunction:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            dual_function(np.ones(1 << 10), 3)
+            dual_function(np.ones(1 << 14), 3)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def cube_function(seed, n, pm_one=False):
+    rng = np.random.default_rng(seed)
+    return random_pm1(rng, 1 << n) if pm_one else rng.uniform(-1, 1, 1 << n)
+
+
+class TestEngineProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), seed=SEEDS, pm_one=st.booleans())
+    def test_engine_equals_direct(self, data, d, seed, pm_one):
+        n = data.draw(st.integers(0, 24 // (d + 1)), label="n")
+        f = cube_function(seed, n, pm_one)
+        assert abs(gowers_norm(f, d) ** (1 << d) - _u_power_direct(f, d)) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(1, 4), n=st.integers(0, 6), count=st.integers(1, 5), seed=SEEDS)
+    def test_batch_rows_equal_single(self, d, n, count, seed):
+        fs = np.random.default_rng(seed).uniform(-1, 1, (count, 1 << n))
+        single = np.array([gowers_norm(f, d) for f in fs])
+        assert np.abs(gowers_norm_batch(fs, d) - single).max() <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(0, 10),
+        lead=st.lists(st.integers(0, 3), max_size=2),
+        seed=SEEDS,
+    )
+    def test_stacked_transform_is_row_wise(self, n, lead, seed):
+        stack = np.random.default_rng(seed).uniform(-1, 1, (*lead, 1 << n))
+        spec = walsh_hadamard(stack)
+        assert spec.shape == stack.shape
+        for index in np.ndindex(*lead):
+            assert np.array_equal(spec[index], walsh_hadamard(stack[index]))
+        assert np.abs(inverse_walsh_hadamard(spec) - stack).max(initial=0.0) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(1, 4), n=st.integers(0, 5), seed=SEEDS, pm_one=st.booleans())
+    def test_dual_pairs_to_norm_power(self, d, n, seed, pm_one):
+        f = cube_function(seed, n, pm_one)
+        lhs = inner_product(f, dual_function(f, d))
+        assert abs(lhs - gowers_norm(f, d) ** (1 << d)) <= 1e-12
 
 
 class TestGeneralizedVonNeumann:
