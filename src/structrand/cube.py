@@ -24,7 +24,7 @@ def cube_dim(f, cap=MAX_CUBE_N) -> int:
     shape = np.shape(f)
     size = shape[-1] if shape else 1
     n = size.bit_length() - 1
-    if size != 1 << n:
+    if size < 1 or size != 1 << n:
         raise DimensionMismatchError(f"length {size} is not a power of two")
     if n > cap:
         raise BudgetExceededError(f"n = {n} exceeds the configured cap {cap}")
@@ -43,33 +43,23 @@ def character(n: int, xi: int) -> np.ndarray:
     return 1.0 - 2.0 * parity(x & np.uint64(xi))
 
 
-def _butterflies(v, axis):
-    """Unnormalized Walsh-Hadamard butterflies along one axis of v, run on a
-    copy with that axis in front so every add covers long contiguous runs."""
-    v = np.ascontiguousarray(np.moveaxis(v, axis, 0))
-    w = np.empty_like(v)
-    m, c = v.shape[0], v.size // v.shape[0]
-    h = 1
-    while h < m:
-        a, b = v.reshape(m // (2 * h), 2, h * c), w.reshape(m // (2 * h), 2, h * c)
-        np.add(a[:, 0], a[:, 1], out=b[:, 0])
-        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
-        v, w = w, v
-        h *= 2
-    return np.moveaxis(v, 0, axis)
-
-
 def walsh_hadamard(f) -> np.ndarray:
     """Normalized transform: out[xi] = 2^-n sum_x f(x) (-1)^{x . xi}.
 
     Works along the last axis, so a stack of functions is transformed row by
-    row, each row bit-identically to the transform of that row alone: the
-    low bits of x, then the high bits, in the plain radix-2 order.
+    row, each row bit-identically to the transform of that row alone.
     """
     n = cube_dim(f)
-    v = np.asarray(f, dtype=float)
-    stack = v.reshape(-1, 1 << (n - n // 2), 1 << (n // 2))
-    return _butterflies(_butterflies(stack, 2), 1).reshape(v.shape) / (1 << n)
+    v = np.array(f, dtype=float)
+    shape = v.shape
+    h = 1
+    while h < 1 << n:
+        v = v.reshape(-1, 2, h)
+        top = v[:, 0, :] + v[:, 1, :]
+        bot = v[:, 0, :] - v[:, 1, :]
+        v = np.stack((top, bot), axis=1)
+        h *= 2
+    return v.reshape(shape) / (1 << n)
 
 
 def inverse_walsh_hadamard(spectrum) -> np.ndarray:

@@ -24,10 +24,20 @@ from .errors import BudgetExceededError, CertificateError, PreconditionError
 
 MAX_D = 4
 # U^d and D_d on F_2^n touch 2^{n * max(d - 1, 1)} cells: one row per
-# derivative chain of length d - 2, each transformed once.
+# derivative chain of length d - 2, each transformed once.  The shift-side
+# routes (the U^2 check by shifts, the trilinear form, the inverse-99 vote)
+# touch 2^{2n}.
 BUDGET_BITS = 26
 # Derivative rows are materialized this many cells at a time.
 BLOCK_CELLS = 1 << 16
+
+
+def check_budget(what, n, bits):
+    """Refuse work on F_2^n that touches 2^bits cells, beyond 2^BUDGET_BITS."""
+    if bits > BUDGET_BITS:
+        raise BudgetExceededError(
+            f"{what} at n={n} touches ~2^{bits} cells, beyond 2^{BUDGET_BITS}"
+        )
 
 
 def _rows(fs, d):
@@ -36,11 +46,7 @@ def _rows(fs, d):
     n = cube_dim(rows)
     if not 1 <= d <= MAX_D:
         raise PreconditionError(f"d must lie in 1..{MAX_D}, got {d}")
-    bits = n * max(d - 1, 1)
-    if bits > BUDGET_BITS:
-        raise BudgetExceededError(
-            f"U^{d} at n={n} touches ~2^{bits} cells, beyond 2^{BUDGET_BITS}"
-        )
+    check_budget(f"U^{d}", n, n * max(d - 1, 1))
     return rows
 
 
@@ -97,6 +103,8 @@ def _u2_power_by_shifts(f):
     Only the CLI's transform-identity check uses it: it is the second,
     independent computation that the transform-based engine is compared with.
     """
+    n = cube_dim(f)
+    check_budget("U^2 by shifts", n, 2 * n)
     return sum(float((f * shift(f, h)).mean()) ** 2 for h in range(f.size)) / f.size
 
 
@@ -183,6 +191,7 @@ def gvn_defect(f, g, h, t1, t2):
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     n = cube_dim(f)
+    check_budget("the trilinear form", n, 2 * n)
     if g.shape != f.shape or h.shape != f.shape:
         raise PreconditionError("f, g, h must share a domain")
     for name, arr in (("f", f), ("g", g), ("h", h)):

@@ -22,7 +22,7 @@ from .cube import (
     walsh_hadamard,
 )
 from .errors import CertificateError, PreconditionError
-from .gowers import gowers_norm, translate_blocks
+from .gowers import check_budget, gowers_norm, translate_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -125,6 +125,9 @@ def inverse_99(f, d: int, delta: float):
     cap = INVERSE99_DELTA_CAP[d]
     if not 0 <= delta <= cap:
         raise PreconditionError(f"delta must lie in [0, {cap}] for d={d}")
+    n = cube_dim(f)
+    # the majority vote polls every pair of shifts
+    check_budget(f"inverse_99 (d={d})", n, 2 * n)
     size = f.size
 
     u = gowers_norm(f, d)

@@ -48,12 +48,13 @@ def save_vector_binary(path, values):
 
 def _load_binary(path, what, cells):
     """(header, float64 payload) of a length-prefixed binary file whose
-    payload holds cells(header) values; a short file is a PreconditionError."""
+    payload holds cells(header) values; a short file or a zero header is a
+    PreconditionError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     header = struct.unpack_from("<Q", raw)[0] if len(raw) >= 8 else None
-    if header is None or len(raw) - 8 < 8 * cells(header):
-        raise PreconditionError(f"binary {what} file is truncated")
+    if not header or len(raw) - 8 < 8 * cells(header):
+        raise PreconditionError(f"binary {what} file is empty or truncated")
     data = np.frombuffer(raw, dtype="<f8", count=cells(header), offset=8)
     return header, data.astype(float)
 

@@ -224,8 +224,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["gowers", "graph-reg"])
     @pytest.mark.parametrize(
         "content",
-        [b"\x01\x02\x03", struct.pack("<Q", 1 << 62) + b"\x00" * 8],
-        ids=["short-header", "huge-header"],
+        [b"\x01\x02\x03", struct.pack("<Q", 1 << 62) + b"\x00" * 8, struct.pack("<Q", 0)],
+        ids=["short-header", "huge-header", "zero-count"],
     )
     def test_malformed_binary_input(self, tmp_path, capsys, command, content):
         path = tmp_path / "bad.bin"
@@ -258,3 +258,22 @@ class TestExitCodes:
     def test_budget_exhaustion(self, tmp_path):
         code = main(["gowers", "--gen", "random:n=14", "--d", "3"])
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gowers", "--gen", "random:n=14", "--d", "2"],
+            ["inverse", "--gen", "random-pm1:n=14", "--d", "2", "--delta", "0.1"],
+        ],
+        ids=["gowers-u2-shifts", "inverse99-vote"],
+    )
+    def test_shift_side_budget(self, argv, capsys):
+        # both poll all 2^n x 2^n shift pairs, so n = 14 is past the 2^26 cap
+        assert main(argv) == 4
+        assert "2^28" in capsys.readouterr().err
+
+    def test_empty_cube_vector(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        save_vector_json(path, np.zeros(0))
+        assert main(["gowers", "--input", str(path)]) == 2
+        assert "length 0" in capsys.readouterr().err

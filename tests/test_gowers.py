@@ -90,6 +90,13 @@ class TestGowersNorm:
         with pytest.raises(BudgetExceededError):
             gowers_norm(np.ones(1 << 9), 4)
 
+    def test_trilinear_form_budget(self):
+        # the form sums over all 2^n x 2^n pairs (x, r): 2^28 at n = 14
+        f = np.ones(1 << 14)
+        eye = np.eye(14, dtype=np.int64)
+        with pytest.raises(BudgetExceededError):
+            gvn_defect(f, f, f, eye, eye)
+
     def test_batch_matches_single(self):
         rng = np.random.default_rng(21)
         fs = rng.uniform(-1, 1, (20, 16))
