@@ -17,7 +17,6 @@ from .cube import (
     f2_matrix_rank,
     f2_matvec_table,
     inverse_walsh_hadamard,
-    shift,
     walsh_hadamard,
 )
 from .errors import BudgetExceededError, CertificateError, PreconditionError
@@ -25,8 +24,8 @@ from .errors import BudgetExceededError, CertificateError, PreconditionError
 MAX_D = 4
 # U^d and D_d on F_2^n touch 2^{n * max(d - 1, 1)} cells: one row per
 # derivative chain of length d - 2, each transformed once.  The shift-side
-# routes (the U^2 check by shifts, the trilinear form, the inverse-99 vote)
-# touch 2^{2n}.
+# routes (the U^2 check by shifts, the trilinear form) and the d = 3
+# inverse-99 fits and vote touch 2^{2n}; the d = 2 vote is a transform.
 BUDGET_BITS = 26
 # Derivative rows are materialized this many cells at a time.
 BLOCK_CELLS = 1 << 16
@@ -102,10 +101,18 @@ def _u2_power_by_shifts(f):
 
     Only the CLI's transform-identity check uses it: it is the second,
     independent computation that the transform-based engine is compared with.
+    With f as a 2^(n-m) x 2^m table F (m = n // 2) and h = (h_i, h_j), the
+    autocorrelation r(h) = sum_x f(x) f(x + h) is the h_i-diagonal of the row
+    Gram matrix F F_{h_j}^T, where F_{h_j} has its columns shifted by h_j.
     """
     n = cube_dim(f)
     check_budget("U^2 by shifts", n, 2 * n)
-    return sum(float((f * shift(f, h)).mean()) ** 2 for h in range(f.size)) / f.size
+    table = np.reshape(f, (-1, 1 << n // 2))
+    rows, cols = np.arange(table.shape[0]), np.arange(table.shape[1])
+    diagonals = rows[:, None] ^ rows  # [h_i, i] -> i + h_i
+    grams = (table @ table[:, cols ^ hj].T for hj in cols)
+    total = sum(float(np.sum(g[rows, diagonals].sum(axis=1) ** 2)) for g in grams)
+    return total / float(1 << 3 * n)
 
 
 def _u_power_direct(f, d):

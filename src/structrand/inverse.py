@@ -22,7 +22,7 @@ from .cube import (
     walsh_hadamard,
 )
 from .errors import CertificateError, PreconditionError
-from .gowers import check_budget, gowers_norm, translate_blocks
+from .gowers import BLOCK_CELLS, check_budget, gowers_norm, translate_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -107,6 +107,36 @@ def _derivative_fits(f, d):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+def _vote_tallies(kept_set, h1, bit_arr, xi_arr, d):
+    """(2, 2^n) integer tallies of the vote: row 0 counts the kept pairs
+    h1 + h2 = k, row 1 those whose vote P_{h1}(0) + P_{h2}(h1) is 1.
+
+    For d = 2 xi is zero, so the rows are the XOR convolutions K * K and
+    2 B * (K - B) of the kept indicator K and B = K * bit, taken through the
+    transform; every value there is a multiple of 2^-2n with at most 2n + 1
+    significant bits, so rounding back to integers is exact.  For d = 3 the
+    vote carries parity(xi[h2] & h1) and a block of k is gathered at a time.
+    """
+    size = kept_set.size
+    if d == 2:
+        k_hat, b_hat = walsh_hadamard(np.stack((kept_set, kept_set * bit_arr)))
+        conv = size * inverse_walsh_hadamard(
+            np.stack((k_hat * k_hat, 2.0 * b_hat * (k_hat - b_hat)))
+        )
+        tallies = np.rint(conv)
+        if not np.array_equal(tallies, conv):
+            raise CertificateError("vote tallies by transform are not integers")
+        return tallies.astype(np.int64)
+    tallies = np.zeros((2, size), dtype=np.int64)
+    step = max(1, BLOCK_CELLS // max(h1.size, 1))
+    for k in np.split(np.arange(size), range(step, size, step)):
+        h2 = h1[None, :] ^ k[:, None]
+        ok = kept_set[h2]
+        votes = bit_arr[h1] ^ bit_arr[h2] ^ parity(xi_arr[h2] & h1)
+        tallies[:, k] = ok.sum(axis=1), (votes & ok).sum(axis=1)
+    return tallies
+
+
 def inverse_99(f, d: int, delta: float):
     """Noisy inverse: recover a degree-(d-1) polynomial from U^d >= 1 - delta.
 
@@ -126,8 +156,8 @@ def inverse_99(f, d: int, delta: float):
     if not 0 <= delta <= cap:
         raise PreconditionError(f"delta must lie in [0, {cap}] for d={d}")
     n = cube_dim(f)
-    # the majority vote polls every pair of shifts
-    check_budget(f"inverse_99 (d={d})", n, 2 * n)
+    # d = 3 fits and polls every pair of shifts; d = 2 works by transforms
+    check_budget(f"inverse_99 (d={d})", n, n * (d - 1))
     size = f.size
 
     u = gowers_norm(f, d)
@@ -150,26 +180,17 @@ def inverse_99(f, d: int, delta: float):
         logger.info("inverse_99: derivative majorities below %.2f", VOTE_THRESHOLD)
         return None
 
-    q_bits = np.zeros(size, dtype=np.int64)
-    min_vote = 1.0
-    for k in range(size):
-        h2 = h1 ^ k
-        ok = kept_set[h2]
-        if not np.any(ok):
+    counts, ones = _vote_tallies(kept_set, h1, bit_arr, xi_arr, d)
+    fractions = np.maximum(ones, counts - ones) / np.maximum(counts, 1)
+    bad = np.flatnonzero(fractions < VOTE_THRESHOLD)  # an empty k reads 0
+    if bad.size:
+        k = int(bad[0])
+        if counts[k]:
+            logger.info("inverse_99: ambiguous vote at k=%d (majority %.3f)", k, fractions[k])
+        else:
             logger.info("inverse_99: no good shift pair sums to %d", k)
-            return None
-        a, b = h1[ok], h2[ok]
-        # value of P_{h1}(0) + P_{h2}(h1): constants plus the character part
-        votes = bit_arr[a] ^ bit_arr[b] ^ parity(xi_arr[b] & a)
-        ones = int(votes.sum())
-        fraction = max(ones, votes.size - ones) / votes.size
-        if fraction < VOTE_THRESHOLD:
-            logger.info(
-                "inverse_99: ambiguous vote at k=%d (majority %.3f)", k, fraction
-            )
-            return None
-        min_vote = min(min_vote, fraction)
-        q_bits[k] = 1 if 2 * ones > votes.size else 0
+        return None
+    q_bits = (2 * ones > counts).astype(np.int64)
 
     poly = F2Polynomial.from_truth_table(q_bits)
     if poly.degree > d - 1:
@@ -183,7 +204,7 @@ def inverse_99(f, d: int, delta: float):
         sign=sign,
         correlation=abs(ip),
         good_shift_fraction=h1.size / size,
-        min_vote_fraction=min_vote,
+        min_vote_fraction=float(fractions.min()),
         derivative_degree=d - 2,
     )
 

@@ -23,8 +23,14 @@ def vector_to_json(values) -> dict:
 
 
 def vector_from_json(obj) -> np.ndarray:
-    values = np.asarray(obj["values"], dtype=float)
-    if values.size != int(obj["domain_size"]):
+    if not isinstance(obj, dict) or not {"values", "domain_size"} <= obj.keys():
+        raise PreconditionError("vector JSON needs 'values' and 'domain_size'")
+    try:
+        values = np.asarray(obj["values"], dtype=float)
+        size = int(obj["domain_size"])
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed vector JSON: {exc}") from None
+    if values.ndim != 1 or values.size != size:
         raise PreconditionError("domain_size disagrees with the value count")
     return values
 
@@ -36,7 +42,11 @@ def save_vector_json(path, values):
 
 def load_vector_json(path) -> np.ndarray:
     with open(path) as fh:
-        return vector_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise PreconditionError(f"{path} is not JSON: {exc}") from None
+    return vector_from_json(obj)
 
 
 def save_vector_binary(path, values):
@@ -108,14 +118,18 @@ def load_edge_list(path, n: int | None = None):
     """(n, adjacency matrix) from 'u v' lines; n defaults to max index + 1."""
     edges = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
+            fields = line.split()
+            if len(fields) != 2 or not all(x.isdecimal() for x in fields):
+                raise PreconditionError(f"edge list line {number} is not 'u v': {line!r}")
+            edges.append((int(fields[0]), int(fields[1])))
     if n is None:
         n = 1 + max((max(u, v) for u, v in edges), default=-1)
+    if n < 1:
+        raise PreconditionError("edge list has no vertices")
     from .graphs import graph_from_edges
 
     return n, graph_from_edges(n, edges)

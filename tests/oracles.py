@@ -131,3 +131,22 @@ def naive_conditional_expectation(weights, f, labels):
         for i in members:
             out[i] = avg
     return out
+
+
+def naive_vote_tallies(kept, bits, xis):
+    """Majority-vote tallies of the noisy inverse by polling every pair.
+
+    For each k, over the ordered pairs (a, b) of kept shifts with a ^ b = k:
+    counts[k] is the number of pairs and ones[k] the number whose vote
+    bits[a] ^ bits[b] ^ <xis[b], a> is 1.
+    """
+    size = len(kept)
+    counts = [0] * size
+    ones = [0] * size
+    for k in range(size):
+        for a in range(size):
+            b = a ^ k
+            if kept[a] and kept[b]:
+                counts[k] += 1
+                ones[k] += int(bits[a]) ^ int(bits[b]) ^ (bin(int(xis[b]) & a).count("1") & 1)
+    return counts, ones

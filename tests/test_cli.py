@@ -182,6 +182,15 @@ class TestInverseCommand:
         assert payload["recovered"] is not None
         assert payload["recovered"]["correlation"] >= 0.95
 
+    def test_d2_vote_beyond_shift_pair_cap(self, tmp_path):
+        # the d = 2 vote is tallied by transforms, so it is not charged 2^{2n}
+        args = ["inverse", "--gen", "planted-code:n=16,degree=1,flip=0.01", "--d", "2", "--delta", "0.1"]
+        code, out = run_cli(args, tmp_path)
+        assert code == 0
+        recovered = json.loads(out.read_text())["payload"]["recovered"]
+        assert recovered is not None
+        assert recovered["correlation"] >= 0.9
+
     def test_exact_variant(self, tmp_path):
         code, out = run_cli(
             ["inverse", "--gen", "planted-code:n=6,degree=1,flip=0", "--d", "2"],
@@ -263,14 +272,34 @@ class TestExitCodes:
         "argv",
         [
             ["gowers", "--gen", "random:n=14", "--d", "2"],
-            ["inverse", "--gen", "random-pm1:n=14", "--d", "2", "--delta", "0.1"],
+            ["inverse", "--gen", "random-pm1:n=14", "--d", "3", "--delta", "0.05"],
         ],
         ids=["gowers-u2-shifts", "inverse99-vote"],
     )
     def test_shift_side_budget(self, argv, capsys):
-        # both poll all 2^n x 2^n shift pairs, so n = 14 is past the 2^26 cap
+        # both touch all 2^n x 2^n shift pairs, so n = 14 is past the 2^26 cap
         assert main(argv) == 4
         assert "2^28" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, name, content",
+        [
+            ("graph-reg", "g.txt", ""),
+            ("weak-reg", "g.txt", ""),
+            ("graph-reg", "g.txt", "0 1\n1 x\n"),
+            ("weak-reg", "g.txt", "1 2 3\n"),
+            ("gowers", "f.json", "[]"),
+            ("gowers", "f.json", '{"values": []}'),
+            ("gowers", "f.json", '{"values": [1.0, '),
+        ],
+        ids=["empty-edges", "empty-edges-weak", "non-integer", "three-fields",
+             "bare-list", "no-domain-size", "truncated-json"],
+    )
+    def test_malformed_text_input(self, tmp_path, capsys, command, name, content):
+        path = tmp_path / name
+        path.write_text(content)
+        assert main([command, "--input", str(path)]) == 2
+        assert "precondition failure" in capsys.readouterr().err
 
     def test_empty_cube_vector(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

@@ -17,7 +17,7 @@ from structrand import (
     walsh_hadamard,
 )
 
-from structrand.gowers import _u_power_direct
+from structrand.gowers import _u2_power_by_shifts, _u_power_direct
 
 from oracles import naive_dual, naive_gowers_norm
 
@@ -123,6 +123,12 @@ class TestU2Transform:
         for _ in range(10):
             f = rng.uniform(-1, 1, 1 << 10)
             assert abs(gowers_norm(f, 2) - gowers_norm_u2_fft(f)) <= 1e-9
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_shift_side_route(self, n):
+        # odd n and n = 0, 1 give tables that are not square, one row or one column
+        f = np.random.default_rng(n).uniform(-1, 1, 1 << n)
+        assert abs(_u2_power_by_shifts(f) - _u_power_direct(f, 2)) <= 1e-12
 
     def test_modulation_symmetry(self):
         # multiplying by a low-degree code leaves U^d unchanged

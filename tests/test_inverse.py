@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structrand import (
     F2Polynomial,
@@ -13,7 +17,10 @@ from structrand import (
     rigidity_gap,
 )
 
-from oracles import naive_inner
+from structrand import inverse
+from structrand.inverse import VOTE_THRESHOLD, _vote_tallies
+
+from oracles import naive_inner, naive_vote_tallies
 
 
 def planted_noisy_code(rng, n, monomials, flip):
@@ -96,6 +103,65 @@ class TestInverse99:
         rec = inverse_99(poly.code(), 2, 0.1)
         assert rec.sign == -1
         assert np.array_equal(rec.sign * rec.poly.code(), poly.code())
+
+
+def first_bad_vote(counts, ones):
+    """The k and reason at which a pass over k in increasing order stops."""
+    for k, (count, one) in enumerate(zip(counts, ones)):
+        if count == 0:
+            return f"no good shift pair sums to {k}"
+        fraction = max(one, count - one) / count
+        if fraction < VOTE_THRESHOLD:
+            return f"ambiguous vote at k={k} (majority {fraction:.3f})"
+    return None
+
+
+class TestVoteTallies:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 7), d=st.sampled_from([2, 3]))
+    def test_tallies_match_pair_loop(self, data, n, d):
+        size = 1 << n
+        kept = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+        bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+        xis = np.zeros(size, dtype=np.int64)
+        if d == 3:
+            xis = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size)))
+        counts, ones = _vote_tallies(kept, np.flatnonzero(kept), bits, xis, d)
+        want_counts, want_ones = naive_vote_tallies(kept, bits, xis)
+        assert counts.tolist() == want_counts
+        assert ones.tolist() == want_ones
+
+    def test_d3_tallies_across_blocks(self, monkeypatch):
+        # 7 cells per block is fewer than the kept shifts, so one k per block
+        monkeypatch.setattr(inverse, "BLOCK_CELLS", 7)
+        rng = np.random.default_rng(0)
+        kept, bits, xis = rng.random(64) < 0.7, rng.integers(0, 2, 64), rng.integers(0, 64, 64)
+        counts, ones = _vote_tallies(kept, np.flatnonzero(kept), bits, xis, 3)
+        assert (counts.tolist(), ones.tolist()) == naive_vote_tallies(kept, bits, xis)
+
+    @pytest.mark.parametrize(
+        "kept, bits, reason",
+        [
+            # a hyperplane: no kept pair sums to a k off it
+            ([1, 0, 1, 0, 1, 0, 1, 0], [0] * 8, "no good shift pair sums to 1"),
+            # bits not affine: the vote at k = 1 splits 2 to 2
+            ([1, 1, 1, 1], [0, 0, 0, 1], "ambiguous vote at k=1 (majority 0.500)"),
+        ],
+        ids=["empty-k", "ambiguous-k"],
+    )
+    def test_first_failing_vote(self, kept, bits, reason, monkeypatch, caplog):
+        # f = 1 passes every gate, so the contrived derivative fits alone
+        # decide the vote
+        size = len(kept)
+        corr = np.where(np.array(bits) == 1, -1.0, 1.0)
+        level = np.where(np.array(kept) == 1, 1.0, 0.0)
+        fits = (np.ones(size), np.zeros(size, dtype=np.int64), corr * level)
+        monkeypatch.setattr(inverse, "_derivative_fits", lambda f, d: fits)
+        counts, ones = naive_vote_tallies(kept, bits, [0] * size)
+        assert first_bad_vote(counts, ones) == reason
+        with caplog.at_level(logging.INFO, logger="structrand.inverse"):
+            assert inverse_99(np.ones(size), 2, 0.1) is None
+        assert caplog.messages == [f"inverse_99: {reason}"]
 
 
 class TestRigidity:
