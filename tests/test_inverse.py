@@ -106,7 +106,7 @@ class TestInverse99:
 
 
 def first_bad_vote(counts, ones):
-    """The k and reason at which a pass over k in increasing order stops."""
+    """The log reason, with its k, at which a pass over k in increasing order stops."""
     for k, (count, one) in enumerate(zip(counts, ones)):
         if count == 0:
             return f"no good shift pair sums to {k}"
@@ -154,8 +154,8 @@ class TestVoteTallies:
         # decide the vote
         size = len(kept)
         corr = np.where(np.array(bits) == 1, -1.0, 1.0)
-        level = np.where(np.array(kept) == 1, 1.0, 0.0)
-        fits = (np.ones(size), np.zeros(size, dtype=np.int64), corr * level)
+        mask = np.where(np.array(kept) == 1, 1.0, 0.0)
+        fits = (np.ones(size), np.zeros(size, dtype=np.int64), corr * mask)
         monkeypatch.setattr(inverse, "_derivative_fits", lambda f, d: fits)
         counts, ones = naive_vote_tallies(kept, bits, [0] * size)
         assert first_bad_vote(counts, ones) == reason
