@@ -15,6 +15,7 @@ import io as _stdio
 import json
 import logging
 import math
+import re
 import sys
 import time
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .arithreg import arithmetic_regularize, coset_bias, coset_ids
-from .cube import F2Polynomial, character_atoms, cube_dim, walsh_hadamard
+from .cube import MAX_CUBE_N, F2Polynomial, character_atoms, cube_dim, walsh_hadamard
 from .errors import BudgetExceededError, CertificateError, PreconditionError
 from .factors import (
     FiniteProbabilitySpace,
@@ -172,6 +173,8 @@ def cmd_gowers(args) -> tuple[dict, list]:
 def cmd_decompose(args) -> tuple[dict, list]:
     rng = rng_for(args.seed, "decompose")
     eps = args.eps or 0.25
+    if args.variant not in ("weak", "orthogonal", "strong"):
+        raise PreconditionError(f"unknown variant {args.variant!r}: weak | orthogonal | strong")
     if args.atoms == "cuts":
         f = make_graph(args, rng)
         atom_set = CutAtomSet(f.shape[0], seed=args.seed)
@@ -180,11 +183,11 @@ def cmd_decompose(args) -> tuple[dict, list]:
         nf = norm(f)
         if nf > 1:
             f = f / nf
-        if args.atoms.startswith("reed-muller"):
+        reed_muller = re.fullmatch(r"reed-muller(?:-([0-9]+))?", args.atoms)
+        if reed_muller:
             from .cube import reed_muller_atoms
 
-            degree = int(args.atoms.rsplit("-", 1)[1]) if args.atoms[-1].isdigit() else 1
-            atom_set = reed_muller_atoms(cube_dim(f), degree)
+            atom_set = reed_muller_atoms(cube_dim(f), int(reed_muller.group(1) or 1))
         elif args.atoms == "characters":
             atom_set = character_atoms(cube_dim(f))
         else:
@@ -217,6 +220,8 @@ def cmd_arith_reg(args) -> tuple[dict, list]:
     if args.input:
         if args.n is None:
             raise PreconditionError("--n is required with --input for arith-reg")
+        if not 0 <= args.n <= MAX_CUBE_N:
+            raise PreconditionError(f"--n must lie in 0..{MAX_CUBE_N}")
         n = args.n
         points = load_subset(args.input, n)
         f = np.zeros(1 << n)

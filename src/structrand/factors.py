@@ -153,6 +153,52 @@ def energy_increment_step(space, f, base: Factor, family: FactorFamily, eps: flo
     return best_idx
 
 
+class Refinement:
+    """A factor refined by joining stock members, with f_str = E(f | factor);
+    ``kept_factor`` and ``kept_f_str`` hold the committed stages, which the
+    current stage refines further.  ``factor_hook`` sees every factor used."""
+
+    def __init__(self, space, f, family, factor, *, energy_cap=1.0, factor_hook=None):
+        self.space, self.f, self.family = space, f, family
+        self.energy_cap = energy_cap
+        self.factor_hook = factor_hook or (lambda factor, members: None)
+        self.factor_hook(factor, ())
+        self.factor, self.f_str = factor, conditional_expectation(space, f, factor)
+        self.keep()
+
+    def grow(self, threshold):
+        """Join the member the residual projects onto furthest while that
+        projection exceeds ``threshold``; returns (stage record fields,
+        energy gained by the stage)."""
+        budget = _iteration_budget(threshold, self.energy_cap)
+        while True:
+            idx = energy_increment_step(self.space, self.f, self.factor, self.family, threshold)
+            if idx is None:
+                break
+            if len(self.members) >= budget:
+                raise CertificateError("energy argument violated: join budget exceeded")
+            self.members.append(idx)
+            self.factor = self.factor.join(self.family[idx])
+            self.factor_hook(self.factor, tuple(self.members))
+            self.f_str = conditional_expectation(self.space, self.f, self.factor)
+            energy = self.space.l2(self.f_str) ** 2
+            if energy > self.energy_cap + EPS_TOL:
+                raise CertificateError(
+                    f"projected energy {energy} exceeded the cap {self.energy_cap}"
+                )
+            self.trace.append({"member": idx, "energy": energy})
+        gain = self.space.l2(self.f_str) ** 2 - self.space.l2(self.kept_f_str) ** 2
+        members = list(self.members)
+        return {"joins": len(members), "energy_gain": gain, "members": members}, gain
+
+    def clears(self, threshold) -> bool:
+        return _worst_projection(self.space, self.f - self.f_str, self.family) > threshold + EPS_TOL
+
+    def keep(self):
+        self.kept_factor, self.kept_f_str = self.factor, self.f_str
+        self.members, self.trace = [], []
+
+
 @dataclass
 class WeakFactorSplit:
     member_indices: list
@@ -192,36 +238,10 @@ def weak_factor_decompose(
         raise PreconditionError("eps must lie in (0, 1]")
     if not sparse and space.l2(f) > 1.0 + EPS_TOL:
         raise PreconditionError("||f||_2 must be at most 1 (dense mode)")
-    budget = _iteration_budget(eps, energy_cap)
-    current = base
-    if factor_hook is not None:
-        factor_hook(current, ())
-    chosen = []
-    trace = []
-    while True:
-        idx = energy_increment_step(space, f, current, family, eps)
-        if idx is None:
-            break
-        if len(chosen) >= budget:
-            raise CertificateError("energy argument violated: join budget exceeded")
-        chosen.append(idx)
-        current = current.join(family[idx])
-        if factor_hook is not None:
-            factor_hook(current, tuple(chosen))
-        energy = projection_norm(space, f, current) ** 2
-        if energy > energy_cap + EPS_TOL:
-            raise CertificateError(
-                f"projected energy {energy} exceeded the cap {energy_cap}"
-            )
-        trace.append({"member": idx, "energy": energy})
-    f_str = conditional_expectation(space, f, current)
+    split = Refinement(space, f, family, base, energy_cap=energy_cap, factor_hook=factor_hook)
+    split.grow(eps)
     return WeakFactorSplit(
-        member_indices=chosen,
-        factor=current,
-        f_str=f_str,
-        f_psd=f - f_str,
-        iterations=len(chosen),
-        trace=trace,
+        split.members, split.factor, split.f_str, f - split.f_str, len(split.members), split.trace
     )
 
 
@@ -299,10 +319,9 @@ def strong_factor_decompose(
     f = np.asarray(f, dtype=float)
     if not sparse and space.l2(f) > 1.0 + EPS_TOL:
         raise PreconditionError("||f||_2 must be at most 1 (dense mode)")
-    factor = Factor.trivial(space.size)  # refined by the kept stages
-    f_str = conditional_expectation(space, f, factor)
-    energy = space.l2(f_str) ** 2
-    last = None  # the latest stage's refinement of factor, and its energy
+    refinement = Refinement(
+        space, f, family, Factor.trivial(space.size), energy_cap=energy_cap, factor_hook=factor_hook
+    )
 
     def doubling(m):
         value = growth(m)
@@ -310,55 +329,25 @@ def strong_factor_decompose(
             raise PreconditionError(f"growth must satisfy F(M) >= 2M, got F({m}) = {value}")
         return value
 
-    def refine(threshold, build):
-        nonlocal factor, f_str, energy, last
-        if last is not None:  # a stage runs only when the last one moved too much energy
-            split, energy = last
-            factor, f_str = split.factor, split.f_str
-        if build:
-            split = weak_factor_decompose(
-                space,
-                f,
-                factor,
-                family,
-                threshold,
-                sparse=sparse,
-                energy_cap=energy_cap,
-                factor_hook=factor_hook,
-            )
-        else:
-            residual = f - f_str
-            if _worst_projection(space, residual, family) > threshold + EPS_TOL:
-                return None
-            split = WeakFactorSplit([], factor, f_str, residual, iterations=0)
-        stage_energy = space.l2(split.f_str) ** 2
-        last = (split, stage_energy)
-        gain = stage_energy - energy
-        return gain, {
-            "joins": split.iterations,
-            "energy_gain": gain,
-            "members": list(split.member_indices),
-        }
-
     stages, threshold, growth_m = run_stages(
         eps,
         doubling,
         lambda width: width * width,
-        refine,
+        refinement,
         complexity_cap=complexity_cap,
         energy_cap=energy_cap,
     )
-    split = last[0]
+    f_psd = f - refinement.f_str
     return FactorDecomposition(
-        factor=factor,
+        factor=refinement.kept_factor,
         member_indices=[i for s in stages[:-1] for i in s["members"]],
-        f_str=f_str,
-        f_psd=split.f_psd,
-        f_err=split.f_str - f_str,
+        f_str=refinement.kept_f_str,
+        f_psd=f_psd,
+        f_err=refinement.f_str - refinement.kept_f_str,
         growth_m=growth_m,
         complexity=sum(s["joins"] for s in stages[:-1]),
         pseudorandomness_eps=threshold,
-        pseudo_found=_worst_projection(space, split.f_psd, family),
+        pseudo_found=_worst_projection(space, f_psd, family),
         error_norm=eps,
         stage_index=len(stages),
         stages=stages,

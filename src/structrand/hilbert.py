@@ -366,6 +366,77 @@ def weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
 SPAN_REJECT_TOL = 1e-8
 
 
+class Span:
+    """A stage's projection f_str of ``target`` onto the span of the atoms it
+    selects, whose orthonormal basis is the rows of ``basis``; f_psd is
+    target - f_str, and ``atoms`` expands f_str over the raw atoms.  Each stage
+    projects the residual of the committed ones (``kept_str``, ``kept_atoms``)."""
+
+    def __init__(self, f, atom_set: AtomSet, complexity_cap=math.inf):
+        self.atom_set, self.complexity_cap = atom_set, complexity_cap
+        self.kept_str, self.kept_atoms = np.zeros_like(f), []
+        self.f_str, self.f_psd, self.atoms = np.zeros_like(f), np.array(f, dtype=float), []
+        self.keep()
+
+    def grow(self, threshold):
+        """Select atoms correlating with f_psd at ``threshold`` until none is
+        left; returns (stage record fields, energy moved by the stage)."""
+        while self._select(threshold):
+            pass
+        if self.keys:
+            gram = self.raw @ self.raw.T / self.target.size
+            rhs = self.raw @ self.target.ravel() / self.target.size
+            try:
+                coeffs = np.linalg.solve(gram, rhs)
+            except np.linalg.LinAlgError:
+                coeffs = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            self.atoms = list(zip(self.keys, (float(c) for c in coeffs)))
+        if len(self.kept_atoms) + len(self.atoms) > self.complexity_cap:
+            raise BudgetExceededError(
+                "total structured complexity exceeded the cap", partial={"atoms": self.kept_atoms}
+            )
+        drop = inner_product(self.target, self.target) - inner_product(self.f_psd, self.f_psd)
+        return {"atoms": len(self.atoms), "energy_drop": drop}, drop
+
+    def _select(self, threshold) -> bool:
+        """Add the first candidate outside the span; False when there is none."""
+        atom_set, size = self.atom_set, self.target.size
+        for key, _ in atom_set.candidates(self.f_psd, threshold):
+            v = np.asarray(atom_set.atom_vector(key), dtype=float).ravel()
+            u = v - self.basis.T @ (self.basis @ v / size)
+            u = u - self.basis.T @ (self.basis @ u / size)  # a second pass keeps it tight
+            nu = norm(u)
+            if nu >= SPAN_REJECT_TOL:
+                break
+            if atom_set.exact:
+                raise CertificateError("exact search proposed an atom inside the current span")
+        else:
+            return False
+        if len(self.keys) >= _iteration_budget(threshold):
+            raise CertificateError("energy argument violated: budget exceeded")
+        self.keys.append(key)
+        self.raw = np.vstack([self.raw, v])
+        self.basis = np.vstack([self.basis, u / nu])
+        q = self.basis[-1].reshape(self.target.shape)
+        self.f_str = self.f_str + inner_product(self.target, q) * q
+        self.f_psd = self.target - self.f_str
+        energy = inner_product(self.f_psd, self.f_psd)
+        self.trace.append({"atom": atom_set.key_json(key), "energy": energy})
+        return True
+
+    def clears(self, threshold) -> bool:
+        return bool(self.atom_set.candidates(self.f_psd, threshold))
+
+    def keep(self):
+        """Commit the stage and restart on its residual with an empty span."""
+        self.kept_str = self.kept_str + self.f_str
+        self.kept_atoms.extend(self.atoms)
+        self.target = self.f_psd
+        self.basis = self.raw = np.empty((0, self.target.size))
+        self.keys, self.atoms, self.trace = [], [], []
+        self.f_str = np.zeros_like(self.target)
+
+
 def orthogonal_weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
     """Energy-decrement split with f_str an orthogonal projection of f.
 
@@ -377,90 +448,38 @@ def orthogonal_weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition
     f = np.asarray(f, dtype=float)
     _check_eps(eps)
     _check_unit_norm(f)
-    budget = _iteration_budget(eps)
-    ortho = []  # orthonormal basis of the current span
-    raw = []  # selected atoms, original values
-    keys = []
-    f_str = np.zeros_like(f)
-    f_psd = f.copy()
-    trace = []
-    while True:
-        cands = atom_set.candidates(f_psd, eps)
-        picked = None
-        for key, ip in cands:
-            v = atom_set.atom_vector(key).astype(float)
-            u = v.copy()
-            for q in ortho:  # two Gram-Schmidt passes keep the basis tight
-                u = u - inner_product(u, q) * q
-            for q in ortho:
-                u = u - inner_product(u, q) * q
-            nu = norm(u)
-            if nu < SPAN_REJECT_TOL:
-                if atom_set.exact:
-                    raise CertificateError(
-                        "exact search proposed an atom inside the current span"
-                    )
-                continue
-            picked = (key, v, u / nu)
-            break
-        if picked is None:
-            break
-        if len(keys) >= budget:
-            raise CertificateError("energy argument violated: budget exceeded")
-        key, v, q = picked
-        keys.append(key)
-        raw.append(v)
-        ortho.append(q)
-        f_str = sum((inner_product(f, q) * q for q in ortho), np.zeros_like(f))
-        f_psd = f - f_str
-        trace.append(
-            {"atom": atom_set.key_json(key), "energy": inner_product(f_psd, f_psd)}
-        )
-    if raw:
-        gram = np.array([[inner_product(a, b) for b in raw] for a in raw])
-        rhs = np.array([inner_product(f, a) for a in raw])
-        try:
-            coeffs = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            coeffs = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-        atoms = list(zip(keys, (float(c) for c in coeffs)))
-    else:
-        atoms = []
-    final = atom_set.scan(f_psd)
+    span = Span(f, atom_set)
+    span.grow(eps)
+    final = atom_set.scan(span.f_psd)
     return Decomposition(
-        atoms=atoms,
-        f_str=f_str,
-        f_psd=f_psd,
+        atoms=span.atoms,
+        f_str=span.f_str,
+        f_psd=span.f_psd,
         f_err=np.zeros_like(f),
-        complexity_m=budget,
-        coeff_bound_k=max((abs(c) for _, c in atoms), default=0.0),
+        complexity_m=_iteration_budget(eps),
+        coeff_bound_k=max((abs(c) for _, c in span.atoms), default=0.0),
         pseudorandomness_eps=eps,
         pseudo_exact=final.exact,
         pseudo_found=final.lower,
         error_norm=0.0,
-        iterations=len(keys),
-        trace=trace,
+        iterations=len(span.atoms),
+        trace=span.trace,
     )
 
 
-def _ceil_guard(x):
-    if math.isinf(x):
-        return math.inf
-    return int(math.ceil(x - 1e-9))
-
-
-
-
-def run_stages(eps, growth, schedule, refine, *, complexity_cap, energy_cap=1.0):
+def run_stages(eps, growth, schedule, structure, *, complexity_cap, energy_cap=1.0):
     """The pigeonhole stage loop shared by the strong splits.
 
-    Stage i refines at threshold 1/W_i with W_i = ceil(F(M_{i-1})) along
-    M_0 = 1, M_i = schedule(W_i).  ``refine(threshold, build)`` runs one stage
-    and returns (energy it moved, fields for the stage record).  A stage whose
-    M lies beyond ``complexity_cap`` gets build False: it may terminate but
-    must not build, and returns None when structure clears its threshold.
-    The first stage moving at most eps^2 ends the run; the energy is at most
-    ``energy_cap``, so one does within floor(energy_cap/eps^2) + 1 stages.
+    Stage i works at threshold 1/W_i with W_i = ceil(F(M_{i-1})) along
+    M_0 = 1, M_i = schedule(W_i).  ``structure.grow(threshold)`` adds
+    structure until no candidate clears the threshold and returns (fields for
+    the stage record, energy the stage moved); ``structure.clears(threshold)``
+    tells whether some candidate clears it; ``structure.keep()`` commits the
+    stage.  A stage whose M lies beyond ``complexity_cap`` may terminate but
+    must not build, so a candidate clearing its threshold raises
+    BudgetExceededError.  The first stage moving at most eps^2 ends the run
+    uncommitted; the energy is at most ``energy_cap``, so one does within
+    floor(energy_cap/eps^2) + 1 stages.
     Returns (stage records, the last threshold, the M before it).
     """
     if eps <= 0:
@@ -469,18 +488,18 @@ def run_stages(eps, growth, schedule, refine, *, complexity_cap, energy_cap=1.0)
     stages = []
     started = time.monotonic()
     for index in range(1, _iteration_budget(eps, energy_cap) + 2):
-        width = _ceil_guard(growth(m_prev))
+        width = growth(m_prev)
+        width = width if math.isinf(width) else int(math.ceil(width - 1e-9))
         threshold = MIN_CORR if math.isinf(width) else 1.0 / width
         m_next = schedule(width)
         over_cap = math.isinf(m_next) or m_next > complexity_cap
-        stage = refine(min(threshold, 1.0), not over_cap)
-        if stage is None:
+        if over_cap and structure.clears(threshold):
             raise BudgetExceededError(
                 f"stage {index} needs structure beyond the complexity cap "
                 f"(M = {m_next} > {complexity_cap})",
                 partial={"stages": stages},
             )
-        moved, fields = stage
+        fields, moved = structure.grow(threshold)
         stages.append(
             {
                 "stage": index,
@@ -491,6 +510,7 @@ def run_stages(eps, growth, schedule, refine, *, complexity_cap, energy_cap=1.0)
         )
         if moved <= eps * eps + 1e-12:
             return stages, threshold, m_prev
+        structure.keep()
         m_prev = m_next
         if time.monotonic() - started > STAGE_TIME_S:
             raise BudgetExceededError(
@@ -523,49 +543,24 @@ def strong_decompose(
     """
     f = np.asarray(f, dtype=float)
     _check_unit_norm(f)
-    f_str, atoms = np.zeros_like(f), []  # built by the kept stages
-    residual = f.copy()
-    last = None  # the latest stage's split of residual: (f_str, f_psd, atoms, trace)
-
-    def refine(threshold, build):
-        nonlocal f_str, residual, last
-        if last is not None:  # a stage runs only when the last one moved too much energy
-            last_str, residual, last_atoms, _ = last
-            f_str = f_str + last_str
-            atoms.extend(last_atoms)
-        if build:
-            dec = orthogonal_weak_decompose(residual, atom_set, threshold)
-            last = (dec.f_str, dec.f_psd, dec.atoms, dec.trace)
-        elif atom_set.candidates(residual, threshold):
-            return None
-        else:
-            last = (np.zeros_like(f), residual, [], [])
-        _, f_psd, stage_atoms, _ = last
-        if len(atoms) + len(stage_atoms) > complexity_cap:
-            raise BudgetExceededError(
-                "total structured complexity exceeded the cap", partial={"atoms": atoms}
-            )
-        drop = inner_product(residual, residual) - inner_product(f_psd, f_psd)
-        return drop, {"atoms": len(stage_atoms), "energy_drop": drop}
-
+    span = Span(f, atom_set, complexity_cap)
     stages, threshold, growth_m = run_stages(
-        eps, growth, lambda width: width, refine, complexity_cap=complexity_cap
+        eps, growth, lambda width: width, span, complexity_cap=complexity_cap
     )
-    f_err, f_psd, _, trace = last
-    final = atom_set.scan(f_psd)
+    final = atom_set.scan(span.f_psd)
     return Decomposition(
-        atoms=list(atoms),
-        f_str=f_str,
-        f_psd=f_psd,
-        f_err=f_err,
-        complexity_m=max(len(atoms), 1),
-        coeff_bound_k=max((abs(c) for _, c in atoms), default=0.0),
+        atoms=list(span.kept_atoms),
+        f_str=span.kept_str,
+        f_psd=span.f_psd,
+        f_err=span.f_str,
+        complexity_m=max(len(span.kept_atoms), 1),
+        coeff_bound_k=max((abs(c) for _, c in span.kept_atoms), default=0.0),
         pseudorandomness_eps=threshold,
         pseudo_exact=final.exact,
         pseudo_found=final.lower,
         error_norm=eps,
         iterations=sum(s["atoms"] for s in stages),
-        trace=trace,
+        trace=span.trace,
         stages=stages,
         growth_m=growth_m,
     )

@@ -86,7 +86,12 @@ def subset_to_hex(points, n: int) -> str:
 
 
 def subset_from_hex(text: str, n: int) -> list:
-    mask = int(text.strip(), 16)
+    try:
+        mask = int(text.strip(), 16)
+    except ValueError:
+        raise PreconditionError(f"subset mask {text.strip()!r} is not hexadecimal") from None
+    if mask < 0 or mask >> (1 << n):
+        raise PreconditionError(f"subset mask is wider than the {1 << n} points of the cube")
     return [x for x in range(1 << n) if (mask >> x) & 1]
 
 
@@ -97,11 +102,18 @@ def save_subset_hex(path, points, n):
 
 def load_subset(path, n: int) -> list:
     """Subset from a JSON list of points or a hex bitmask file."""
-    text = open(path).read()
-    stripped = text.strip()
-    if stripped.startswith("["):
-        return [int(p) for p in json.loads(stripped)]
-    return subset_from_hex(stripped, n)
+    with open(path) as fh:
+        stripped = fh.read().strip()
+    if not stripped.startswith("["):
+        return subset_from_hex(stripped, n)
+    try:
+        points = json.loads(stripped)
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(f"{path} is not a JSON list: {exc}") from None
+    for p in points:
+        if type(p) is not int or not 0 <= p < 1 << n:
+            raise PreconditionError(f"subset point {p!r} is not an integer in 0..{(1 << n) - 1}")
+    return points
 
 
 # --- graphs ------------------------------------------------------------------

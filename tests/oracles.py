@@ -150,3 +150,43 @@ def naive_vote_tallies(kept, bits, xis):
                 counts[k] += 1
                 ones[k] += int(bits[a]) ^ int(bits[b]) ^ (bin(int(xis[b]) & a).count("1") & 1)
     return counts, ones
+
+
+def naive_staged_split(atoms, f, eps, growth):
+    """Stage records of the staged projection split, by plain loops.
+
+    Stage i works at threshold 1/W_i, W_i = ceil(growth(M_{i-1})), M_0 = 1,
+    M_i = W_i.  It takes the residual left by the stages before it and
+    repeatedly adds the atom correlating most with what the stage has not
+    yet explained (lowest index on ties), as long as that correlation is at
+    least the threshold; the stage's structured part is the least-squares
+    fit of the residual by its atoms, from their Gram system.  The first
+    stage removing at most eps^2 of energy ends the run.  Each record holds
+    the stage's atom indices, their coefficients, its energy drop, and the
+    smallest gap between the best and the second-best correlation seen.
+    """
+    atoms = [[float(v) for v in row] for row in atoms]
+    residual = [float(v) for v in f]
+    m_prev, stages = 1, []
+    while True:
+        threshold = 1.0 / math.ceil(growth(m_prev) - 1e-9)
+        chosen, coeffs, left, gap = [], [], residual, math.inf
+        while True:
+            corr = sorted(((abs(naive_inner(left, a)), -i) for i, a in enumerate(atoms)),
+                          reverse=True)
+            gap = min(gap, corr[0][0] - corr[1][0])
+            if corr[0][0] < threshold - 1e-9:
+                break
+            chosen.append(-corr[0][1])
+            gram = [[naive_inner(atoms[i], atoms[j]) for j in chosen] for i in chosen]
+            rhs = [naive_inner(residual, atoms[i]) for i in chosen]
+            coeffs = [float(c) for c in np.linalg.solve(gram, rhs)]
+            left = [
+                residual[x] - math.fsum(c * atoms[i][x] for c, i in zip(coeffs, chosen))
+                for x in range(len(residual))
+            ]
+        drop = naive_inner(residual, residual) - naive_inner(left, left)
+        stages.append({"atoms": chosen, "coefficients": coeffs, "energy_drop": drop, "gap": gap})
+        if drop <= eps * eps + 1e-12:
+            return stages
+        residual, m_prev = left, math.ceil(growth(m_prev) - 1e-9)

@@ -301,6 +301,33 @@ class TestExitCodes:
         assert main([command, "--input", str(path)]) == 2
         assert "precondition failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["arith-reg", "--n", "4"], "[1, 2"),
+            (["arith-reg", "--n", "4"], "zz"),
+            (["arith-reg", "--n", "4"], '["a"]'),
+            (["arith-reg", "--n", "4"], "[99]"),
+            (["arith-reg", "--n", "4"], "[-1]"),
+            (["arith-reg", "--n", "4"], "1ffff"),
+            (["arith-reg", "--n", "-1"], "[]"),
+            (["decompose", "--variant", "bogus"], None),
+            (["decompose", "--atoms", "reed-muller-abc"], None),
+            (["decompose", "--atoms", "reed-mullerz"], None),
+            (["decompose", "--atoms", "reed-muller2"], None),
+        ],
+        ids=["truncated-json", "bad-hex", "non-integer-point", "point-past-cube",
+             "negative-point", "mask-past-cube", "negative-n", "unknown-variant",
+             "non-integer-degree", "bad-family-suffix", "no-degree-dash"],
+    )
+    def test_malformed_subset_or_option(self, tmp_path, capsys, argv, content):
+        if content is not None:
+            path = tmp_path / "subset.txt"
+            path.write_text(content)
+            argv = argv + ["--input", str(path)]
+        assert main(argv) == 2
+        assert "precondition failure" in capsys.readouterr().err
+
     def test_empty_cube_vector(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         save_vector_json(path, np.zeros(0))

@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structrand import (
     BudgetExceededError,
     CertificateError,
     DenseAtomSet,
+    Factor,
+    FactorFamily,
     FiniteProbabilitySpace,
     GrowthFunction,
     PreconditionError,
     character,
     character_atoms,
+    conditional_expectation,
     dyadic_interval_family,
     energy_decrement_step,
     inner_product,
@@ -22,7 +27,7 @@ from structrand import (
     weak_decompose,
 )
 
-from oracles import naive_inner
+from oracles import naive_inner, naive_staged_split
 
 
 def normalized(rng, size):
@@ -258,6 +263,96 @@ class TestStagedContract:
             for _ in range(5):
                 g = rng.uniform(-1.0, 1.0, 16)
                 assert len(stages_of(g, eps, 10**6)) <= math.floor(1 / eps**2) + 1
+
+
+def unit_rows(rng, count, size):
+    """``count`` random atoms of norm exactly 1, in general position."""
+    mat = rng.uniform(-1.0, 1.0, (count, size))
+    return mat / np.sqrt((mat**2).mean(axis=1, keepdims=True))
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+SPLITS = ["orthogonal", "strong-characters", "strong-dense"]
+
+
+class TestCertificates:
+    """verify() passes on every split and fails once f_psd gains an atom, or
+    a stock member, at twice the certified level; f is shifted with f_psd so
+    that only the pseudorandomness claim breaks."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, eps=st.sampled_from([0.2, 0.3, 0.5]), split=st.sampled_from(SPLITS))
+    def test_atom_splits(self, seed, eps, split):
+        rng = np.random.default_rng(seed)
+        if split == "strong-dense":
+            atoms = DenseAtomSet(unit_rows(rng, 12, 16))
+        else:
+            atoms = character_atoms(5)
+        planted = sum(rng.uniform(-1, 1) * atoms.atom_vector(k) for k in rng.integers(0, 12, 3))
+        f = normalized(rng, atoms.atom_vector(0).size) + planted
+        f = f / norm(f)
+        if split == "orthogonal":
+            dec = orthogonal_weak_decompose(f, atoms, eps)
+        else:
+            dec = strong_decompose(f, atoms, eps, GrowthFunction.linear(2))
+        dec.verify(f, atoms)
+        v = atoms.atom_vector(atoms.scan(dec.f_psd).witness)
+        sign = 1.0 if inner_product(dec.f_psd, v) >= 0 else -1.0
+        delta = sign * 2 * dec.pseudorandomness_eps * v / inner_product(v, v)
+        dec.f_psd = dec.f_psd + delta
+        with pytest.raises(CertificateError, match="correlates at"):
+            dec.verify(f + delta, atoms)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, eps=st.sampled_from([0.5, 0.6, 0.8]))
+    def test_factor_split(self, seed, eps):
+        rng = np.random.default_rng(seed)
+        space = FiniteProbabilitySpace.uniform(64)
+        family = FactorFamily([Factor(rng.integers(0, 2, 64)) for _ in range(8)])
+        f = rng.standard_normal(64) + 2.0 * (family[0].labels - 0.5)
+        f /= space.l2(f)
+        dec = strong_factor_decompose(space, f, family, eps, GrowthFunction.linear(2, offset=1))
+        dec.verify(space, f, family)
+        # (-1)^labels of a member, less its part the factor already sees, is
+        # invisible to E(. | factor) but not to the member
+        shifts = []
+        for member in family.members:
+            g = 1.0 - 2.0 * member.labels
+            delta = g - conditional_expectation(space, g, dec.factor)
+            seen = conditional_expectation(space, delta, member)
+            shifts.append((space.l2(seen), member, delta, seen))
+        size, member, delta, seen = max(shifts, key=lambda shift: shift[0])
+        if size <= 1e-6:  # the factor refines every member
+            return
+        aligned = space.inner(conditional_expectation(space, dec.f_psd, member), seen) >= 0
+        delta = (1.0 if aligned else -1.0) * 2 * dec.pseudorandomness_eps * delta / size
+        dec.f_psd = dec.f_psd + delta
+        with pytest.raises(CertificateError, match="projects at"):
+            dec.verify(space, f + delta, family)
+
+
+def test_stages_match_plain_loop_oracle():
+    # seeded so that four stages build, the last re-selects atoms an earlier
+    # stage used, and every pick leads the runner-up correlation by > 0.02
+    rng = np.random.default_rng(15)
+    mat = unit_rows(rng, 10, 32)
+    f = mat[:4].T @ np.array([0.6, -0.35, 0.2, 0.12]) + 0.05 * rng.standard_normal(32)
+    f /= norm(f)
+    expected = naive_staged_split(mat, f, 0.2, lambda m: 2 * m)
+    assert sum(1 for stage in expected if stage["atoms"]) >= 2
+    assert min(stage["gap"] for stage in expected) > 1e-6
+    dec = strong_decompose(f, DenseAtomSet(mat), 0.2, GrowthFunction.linear(2))
+    assert [s["atoms"] for s in dec.stages] == [len(stage["atoms"]) for stage in expected]
+    for got, stage in zip(dec.stages, expected):
+        assert got["energy_drop"] == pytest.approx(stage["energy_drop"], abs=1e-9)
+    kept = expected[:-1]
+    assert [k for k, _ in dec.atoms] == [k for stage in kept for k in stage["atoms"]]
+    coefficients = [c for stage in kept for c in stage["coefficients"]]
+    assert np.allclose([c for _, c in dec.atoms], coefficients, rtol=0, atol=1e-9)
+    last = expected[-1]
+    assert [rec["atom"] for rec in dec.trace] == last["atoms"]
+    f_err = sum(c * mat[k] for k, c in zip(last["atoms"], last["coefficients"]))
+    assert norm(dec.f_err - f_err) <= 1e-9
 
 
 class TestGrowthFunction:
