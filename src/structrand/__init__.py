@@ -55,7 +55,6 @@ from .graphs import (
     CutAtom,
     CutAtomSet,
     RegularityPartition,
-    cut_atom_search,
     edge_density,
     gnp_random_graph,
     graph_from_edges,

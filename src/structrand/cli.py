@@ -53,22 +53,69 @@ def rng_for(seed: int, command: str):
     return np.random.default_rng([int(seed), STREAM_LABELS[command]])
 
 
+# input kind -> generator -> key -> (integer?, low, high, default); a bound may
+# name another key, and a default of None is computed where the key is used
+CUBE_N = (True, 0, math.inf, 8)
+GENERATORS = {
+    "cube": {
+        "random": {"n": CUBE_N},
+        "random-pm1": {"n": CUBE_N},
+        "constant": {"n": CUBE_N, "value": (False, -math.inf, math.inf, 1.0)},
+        "planted-code": {
+            "n": CUBE_N,
+            "degree": (True, 1, "n", 1),
+            "flip": (False, 0.0, 1.0, 0.01),
+            "terms": (True, 0, math.inf, None),
+        },
+    },
+    "subset": {"subset": {"n": (True, 0, math.inf, 10), "density": (False, 0.0, 1.0, 0.5)}},
+    "graph": {
+        "gnp": {"n": (True, 1, math.inf, 64), "p": (False, 0.0, 1.0, 0.5)},
+        "complete": {"n": (True, 1, math.inf, 64)},
+        "bipartite": {"n": (True, 1, math.inf, 64)},
+    },
+    "sparse": {
+        "sparse": {
+            "N": (True, 2, math.inf, 4096),
+            "density": (False, 0.0, 1.0, None),
+            "relative": (False, 0.0, 1.0, 0.5),
+        },
+    },
+}
+
+
 def parse_gen(spec: str) -> dict:
-    """'name:key=val,key=val' generator descriptions."""
+    """A 'name:key=val,key=val' generator description, checked against
+    GENERATORS and completed with its defaults."""
     name, _, rest = spec.partition(":")
+    kinds = [kind for kind, generators in GENERATORS.items() if name in generators]
+    if not kinds:
+        raise PreconditionError(f"unknown generator {name!r} in {spec!r}")
+    keys = GENERATORS[kinds[0]][name]
     params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            try:
-                params[key] = int(val)
-            except ValueError:
-                try:
-                    params[key] = float(val)
-                except ValueError:
-                    raise PreconditionError(
-                        f"generator parameter {item!r} in {spec!r} is not key=number"
-                    ) from None
+    for item in rest.split(",") if rest else ():
+        key, _, val = item.partition("=")
+        try:
+            params[key] = float(val)
+        except ValueError:
+            raise PreconditionError(
+                f"generator parameter {item!r} in {spec!r} is not key=number"
+            ) from None
+        if key not in keys:
+            raise PreconditionError(f"{name} takes the keys {', '.join(keys)}, not {key!r}")
+    params = {key: d for key, (_, _, _, d) in keys.items() if d is not None} | params
+    for key, value in params.items():
+        integer, low, high, _ = keys[key]
+        high = params[high] if isinstance(high, str) else high
+        if not (math.isfinite(value) and low <= value <= high) or (
+            integer and not float(value).is_integer()
+        ):
+            what = "an integer" if integer else "a number"
+            raise PreconditionError(f"{name}: {key} must be {what} in [{low}, {high}]")
+        if integer:
+            params[key] = int(value)
+    if kinds[0] in ("cube", "subset") and params["n"] > MAX_CUBE_N:
+        raise BudgetExceededError(f"n = {params['n']} exceeds the cube cap {MAX_CUBE_N}")
     params["name"] = name
     return params
 
@@ -77,11 +124,15 @@ def parse_growth(text: str, eps: float) -> GrowthFunction:
     if text in (None, "", "arith-reg"):
         return GrowthFunction.arithmetic_regularity(eps)
     kind, _, value = text.partition("-")
+    if kind not in ("exp", "linear"):
+        raise PreconditionError(f"unknown growth preset {text!r}")
+    try:
+        value = float(value or 2)
+    except ValueError:
+        raise PreconditionError(f"growth preset {text!r} needs a number after '-'") from None
     if kind == "exp":
-        return GrowthFunction.exponential(float(value or 2))
-    if kind == "linear":
-        return GrowthFunction.linear(float(value or 2))
-    raise PreconditionError(f"unknown growth preset {text!r}")
+        return GrowthFunction.exponential(value)
+    return GrowthFunction.linear(value)
 
 
 def make_cube_function(args, rng) -> np.ndarray:
@@ -90,19 +141,18 @@ def make_cube_function(args, rng) -> np.ndarray:
             return load_vector_binary(args.input)
         return load_vector_json(args.input)
     params = parse_gen(args.gen)
-    n = int(params.get("n", 8))
+    n = params["n"]
     if params["name"] == "random":
         return rng.uniform(-1.0, 1.0, 1 << n)
     if params["name"] == "random-pm1":
         return np.where(rng.random(1 << n) < 0.5, -1.0, 1.0)
     if params["name"] == "constant":
-        return np.full(1 << n, float(params.get("value", 1.0)))
+        return np.full(1 << n, params["value"])
     if params["name"] == "planted-code":
-        degree = int(params.get("degree", 1))
-        flip = float(params.get("flip", 0.01))
+        degree, flip = params["degree"], params["flip"]
         monos = []
         variables = list(range(n))
-        count = int(params.get("terms", max(1, n // 3)))
+        count = params.get("terms", max(1, n // 3))
         for _ in range(count):
             size = int(rng.integers(1, degree + 1))
             mono = tuple(sorted(rng.choice(variables, size=size, replace=False)))
@@ -120,11 +170,11 @@ def make_graph(args, rng) -> np.ndarray:
             return load_adjacency_binary(args.input)
         return load_edge_list(args.input)[1]
     params = parse_gen(args.gen)
-    n = int(params.get("n", 64))
+    n = params["n"]
     if params["name"] == "gnp":
         from .graphs import gnp_random_graph
 
-        return gnp_random_graph(n, float(params.get("p", 0.5)), rng)
+        return gnp_random_graph(n, params["p"], rng)
     if params["name"] == "complete":
         g = np.ones((n, n))
         np.fill_diagonal(g, 0.0)
@@ -227,9 +277,11 @@ def cmd_arith_reg(args) -> tuple[dict, list]:
         f = np.zeros(1 << n)
         f[points] = 1.0
     else:
-        params = parse_gen(args.gen or "subset:n=10,density=0.5")
-        n = int(params.get("n", 10))
-        f = (rng.random(1 << n) < float(params.get("density", 0.5))).astype(float)
+        params = parse_gen(args.gen)
+        if params["name"] != "subset":
+            raise PreconditionError(f"unknown subset generator {params['name']!r}")
+        n = params["n"]
+        f = (rng.random(1 << n) < params["density"]).astype(float)
     report = arithmetic_regularize(f, n, eps)
     # re-verify every regular verdict with a fresh per-coset transform
     ids = coset_ids(n, report.constraints)
@@ -323,12 +375,14 @@ def cmd_inverse(args) -> tuple[dict, list]:
 def cmd_sparse_demo(args) -> tuple[dict, list]:
     rng = rng_for(args.seed, "sparse-demo")
     params = parse_gen(args.gen or "sparse:N=4096")
-    n_points = int(params.get("N", 4096))
+    if params["name"] != "sparse":
+        raise PreconditionError(f"unknown sparse generator {params['name']!r}")
+    n_points = params["N"]
     eps = args.eps or 0.3
     eta = args.eta
     log_n = math.log(n_points)
-    density = float(params.get("density", 1.0 / log_n))
-    rel = float(params.get("relative", 0.5))
+    density = params.get("density", 1.0 / log_n)
+    rel = params["relative"]
     majorant_set = rng.random(n_points) < density
     subset = majorant_set & (rng.random(n_points) < rel)
     nu = log_n * majorant_set.astype(float)
@@ -410,6 +464,10 @@ def run(args) -> str:
             "sparse-demo": "sparse:N=4096",
         }
         args.gen = defaults[args.command]
+    if args.eps is not None and not 0 < args.eps <= 1:
+        raise PreconditionError(f"--eps must lie in (0, 1], got {args.eps}")
+    if args.m is not None and args.m < 1:
+        raise PreconditionError(f"--m must be at least 1, got {args.m}")
     payload, rows = COMMANDS[args.command](args)
     if args.format == "csv":
         buf = _stdio.StringIO()

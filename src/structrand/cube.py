@@ -16,6 +16,8 @@ from .errors import BudgetExceededError, DimensionMismatchError, PreconditionErr
 from .hilbert import AtomSet, DenseAtomSet
 
 MAX_CUBE_N = 24
+RM_MAX_CODES = 1 << 16  # Reed-Muller families are materialized up to this many codes
+RM_MAX_CELLS = 1 << 24  # and up to this many code values in all
 
 
 def cube_dim(f, cap=MAX_CUBE_N) -> int:
@@ -234,12 +236,11 @@ class CharacterAtomSet(AtomSet):
 
     exact = True
 
-    def __init__(self, n, max_candidates=64):
+    def __init__(self, n):
         self.n = int(n)
         if self.n > MAX_CUBE_N:
             raise BudgetExceededError(f"n = {n} exceeds the cube cap {MAX_CUBE_N}")
         self.name = f"characters(n={n})"
-        self.max_candidates = max_candidates
 
     def __len__(self):
         return 1 << self.n
@@ -262,14 +263,14 @@ class ReedMullerAtomSet(DenseAtomSet):
     anything beyond the count/memory budget and reports the offending count.
     """
 
-    def __init__(self, n, k, max_count=1 << 16, max_cells=1 << 24, max_candidates=64):
+    def __init__(self, n, k):
         self.n = int(n)
         self.k = int(k)
         if not 1 <= self.k <= self.n:
             raise PreconditionError("need 1 <= k <= n")
         monos = monomials_up_to_degree(self.n, self.k)
         count = 1 << len(monos)
-        if count > max_count or count * (1 << self.n) > max_cells:
+        if count > RM_MAX_CODES or count * (1 << self.n) > RM_MAX_CELLS:
             raise BudgetExceededError(
                 f"Reed-Muller enumeration for n={n}, k={k} has {count} codes, "
                 f"beyond the budget"
@@ -291,7 +292,6 @@ class ReedMullerAtomSet(DenseAtomSet):
             codes = np.vstack([codes, codes * signs[j]])
         self.matrix = codes  # +-1 rows have norm 1: DenseAtomSet's norm check is moot
         self.name = f"reed-muller(n={n}, deg<={k})"
-        self.max_candidates = max_candidates
 
     def polynomial(self, index: int) -> F2Polynomial:
         monos = [self.monomials[j] for j in range(len(self.monomials)) if (index >> j) & 1]

@@ -219,26 +219,19 @@ def weak_factor_decompose(
     base: Factor,
     family: FactorFamily,
     eps: float,
-    *,
-    sparse: bool = False,
-    energy_cap: float = 1.0,
-    factor_hook=None,
 ) -> WeakFactorSplit:
     """Join stock factors onto ``base`` until the residual projects small.
 
     f_str = E(f | base joined with the selections), f_psd = f - f_str with
-    every stock projection of f_psd at most eps.  Dense mode requires
-    ||f||_2 <= 1 and finishes within 1/eps^2 steps; sparse mode drops the
-    norm hypothesis and instead trusts ``energy_cap`` (the majorant bound
-    (1 + eta)^2), giving energy_cap/eps^2 steps.  ``factor_hook`` is invoked
-    on every factor actually conditioned on.
+    every stock projection of f_psd at most eps.  Requires ||f||_2 <= 1 and
+    finishes within 1/eps^2 steps.
     """
     f = np.asarray(f, dtype=float)
     if not 0 < eps <= 1:
         raise PreconditionError("eps must lie in (0, 1]")
-    if not sparse and space.l2(f) > 1.0 + EPS_TOL:
-        raise PreconditionError("||f||_2 must be at most 1 (dense mode)")
-    split = Refinement(space, f, family, base, energy_cap=energy_cap, factor_hook=factor_hook)
+    if space.l2(f) > 1.0 + EPS_TOL:
+        raise PreconditionError("||f||_2 must be at most 1")
+    split = Refinement(space, f, family, base)
     split.grow(eps)
     return WeakFactorSplit(
         split.members, split.factor, split.f_str, f - split.f_str, len(split.members), split.trace

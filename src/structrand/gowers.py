@@ -115,43 +115,6 @@ def _u2_power_by_shifts(f):
     return total / float(1 << 3 * n)
 
 
-def _u_power_direct(f, d):
-    """||f||_{U^d}^(2^d) straight from the parallelepiped average.
-
-    The literal reference the tests hold the engine to.  Vectorizes over as
-    many shift axes as fit in a 2^20 grid and loops the rest, so the full
-    (x, h_1..h_d) average is evaluated literally.
-    """
-    size = f.size
-    if d == 1:
-        m = float(f.mean())
-        return m * m
-    n = size.bit_length() - 1
-    inner = max(1, min(d, 20 // max(n, 1) - 1))
-    outer_count = d - inner
-    grids = []
-    for a in range(inner):
-        shape = [1] * (inner + 1)
-        shape[a] = size
-        grids.append(np.arange(size).reshape(shape))
-    grid_x = np.arange(size).reshape([1] * inner + [size])
-    total = 0.0
-    for outer in np.ndindex(*([size] * outer_count)):
-        acc = np.ones((size,) * (inner + 1))
-        for vertex in range(1 << d):
-            offset = 0
-            for j in range(outer_count):
-                if (vertex >> j) & 1:
-                    offset ^= outer[j]
-            idx = grid_x ^ offset
-            for a in range(inner):
-                if (vertex >> (outer_count + a)) & 1:
-                    idx = idx ^ grids[a]
-            acc = acc * f[idx]
-        total += float(acc.mean())
-    return total / size**outer_count
-
-
 def gowers_norm(f, d: int) -> float:
     """The uniformity norm ||f||_{U^d} on F_2^n, for 1 <= d <= MAX_D.
 

@@ -27,6 +27,10 @@ from .hilbert import (
 
 EXHAUSTIVE_CUT_LIMIT = 12  # all 2^n side-sets are enumerated up to here
 EXACT_PAIR_LIMIT = 16  # exact regularity verdicts enumerate 2^|A| subsets
+CUT_STARTS = 64  # random restarts of the heuristic cut search, besides A = V
+CUT_SWEEPS = 40  # alternation rounds per cut-search start
+PAIR_RESTARTS = 8  # random starts per sign of the alternating pair search
+PAIR_SWEEPS = 25  # alternation rounds per pair-search start
 
 
 def graph_from_edges(n: int, edges) -> np.ndarray:
@@ -82,6 +86,15 @@ class CutAtom:
         return {"A": sorted(self.a), "B": sorted(self.b)}
 
 
+def _subset_sums(block):
+    """(masks, masks @ block): row a of masks is the 0/1 indicator of the bits
+    of a, so row a of the product sums the block's rows over that subset."""
+    k = block.shape[0]
+    bytes_le = np.arange(1 << k, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    masks = np.unpackbits(bytes_le, axis=1, count=k, bitorder="little").astype(float)
+    return masks, masks @ block
+
+
 def _best_b_given_cols(colsums):
     """Optimal B for both signs given column sums; returns (value, mask)."""
     pos = colsums > 0
@@ -97,16 +110,16 @@ class CutAtomSet(AtomSet):
     """Cut products searched by alternating maximization.
 
     For n <= 12 the search enumerates every A (the optimal B given A is
-    closed-form), so scans are definitive; beyond that it runs ``starts``
+    closed-form), so scans are definitive; beyond that it runs CUT_STARTS
     random restarts plus the all-vertices start and is flagged heuristic.
     """
 
-    def __init__(self, n: int, starts: int = 64, seed: int = 0, max_candidates: int = 32):
+    max_candidates = 32
+
+    def __init__(self, n: int, seed: int = 0):
         self.n = int(n)
         self.exact = self.n <= EXHAUSTIVE_CUT_LIMIT
-        self.starts = starts
         self.seed = seed
-        self.max_candidates = max_candidates
         self.name = f"cut-products(n={n}, {'exact' if self.exact else 'heuristic'})"
 
     def atom_vector(self, key: CutAtom):
@@ -123,17 +136,15 @@ class CutAtomSet(AtomSet):
         )
 
     def _exhaustive(self, f):
-        n = self.n
-        masks = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-        cols = masks @ f  # row a-mask -> column sums over A
+        masks, cols = _subset_sums(f)  # row a-mask -> column sums over A
         vplus = np.maximum(cols, 0.0).sum(axis=1)
         vminus = np.minimum(cols, 0.0).sum(axis=1)
-        strength = np.maximum(vplus, -vminus) / (n * n)
+        strength = np.maximum(vplus, -vminus) / (self.n * self.n)
         return masks, cols, strength
 
-    def _alternate(self, f, a_bool, sweeps=40):
+    def _alternate(self, f, a_bool):
         prev = 0.0
-        for _ in range(sweeps):
+        for _ in range(CUT_SWEEPS):
             cols = a_bool.astype(float) @ f
             v, b_bool = _best_b_given_cols(cols)
             rows = f @ b_bool.astype(float)
@@ -150,7 +161,7 @@ class CutAtomSet(AtomSet):
         rng = np.random.default_rng(self.seed)
         found = {}
         starts = [np.ones(self.n, dtype=bool)]
-        starts += [rng.random(self.n) < 0.5 for _ in range(self.starts)]
+        starts += [rng.random(self.n) < 0.5 for _ in range(CUT_STARTS)]
         for a0 in starts:
             if not a0.any():
                 continue
@@ -192,14 +203,6 @@ class CutAtomSet(AtomSet):
         lower, witness = (abs(pool[0][1]), pool[0][0]) if pool else (0.0, None)
         upper = float(np.abs(f).mean())  # |<f, 1_{AxB}>| <= mean |f| always
         return CorrelationScan(lower=lower, upper=upper, exact=False, witness=witness)
-
-
-def cut_atom_search(f, eps: float, starts: int = 64, seed: int = 0):
-    """An atom with |<f, 1_{AxB}>| >= eps, or None (definitive for n <= 12)."""
-    f = np.asarray(f, dtype=float)
-    atoms = CutAtomSet(f.shape[0], starts=starts, seed=seed)
-    found = atoms.candidates(f, eps)
-    return found[0][0] if found else None
 
 
 # --- regular pairs -----------------------------------------------------------
@@ -245,116 +248,22 @@ class PairVerdict:
         }
 
 
-def _subset_row_sums(block):
-    """Cumulative row sums over all subsets of the block's rows."""
-    k = block.shape[0]
-    sums = np.zeros((1 << k, block.shape[1]))
-    for j in range(k):
-        step = 1 << j
-        sums[step : 2 * step] = sums[:step] + block[j]
-    return sums
-
-
-def _witness_from_mask(rows, cols, block, mask, delta, eps, side):
-    ridx = [rows[j] for j in range(len(rows)) if (mask >> j) & 1]
-    sub = block[[j for j in range(len(rows)) if (mask >> j) & 1]]
-    t = sub.sum(axis=0) - delta * len(ridx)
-    slack = eps * len(ridx)
-    scores = t - slack if side > 0 else -(t + slack)
-    order = np.argsort(-scores)
-    m_b = math.ceil(eps * len(cols) - 1e-12)
-    best_val, best_k = -np.inf, None
-    running = 0.0
-    for rank, j in enumerate(order, start=1):
-        running += scores[j]
-        if rank >= max(m_b, 1) and running > best_val:
-            best_val, best_k = running, rank
-    chosen = [cols[j] for j in order[:best_k]]
-    edges = float(block[np.ix_([rows.index(r) for r in ridx], [cols.index(c) for c in chosen])].sum())
-    expected = delta * len(ridx) * len(chosen)
+def _pair_witness(rows, cols, block, sel_r, sel_c, delta, eps):
+    """The sub-pair at block positions (sel_r, sel_c), recounted from the block."""
+    edges = float(block[np.ix_(sel_r, sel_c)].sum())
+    expected = delta * len(sel_r) * len(sel_c)
     return PairWitness(
-        rows=tuple(ridx),
-        cols=tuple(chosen),
+        rows=tuple(sorted(int(rows[i]) for i in sel_r)),
+        cols=tuple(sorted(int(cols[j]) for j in sel_c)),
         edges=edges,
         expected=expected,
         deviation=abs(edges - expected),
-        threshold=eps * len(ridx) * len(chosen),
+        threshold=eps * len(sel_r) * len(sel_c),
     )
 
 
-def _exact_pair_check(g, rows, cols, eps):
-    block = np.asarray(g)[np.ix_(rows, cols)]
-    ka, kb = len(rows), len(cols)
-    delta = float(block.mean())
-    m_a = max(1, math.ceil(eps * ka - 1e-12))
-    m_b = max(1, math.ceil(eps * kb - 1e-12))
-    sums = _subset_row_sums(block)
-    pop = np.bitwise_count(np.arange(1 << ka, dtype=np.uint64)).astype(int)
-    sizes = pop.astype(float)
-    # t[mask, w] = e(A', {w}) - delta |A'|; admissible B' must have >= m_b columns
-    t = sums - delta * sizes[:, None]
-    slack = eps * sizes[:, None]
-    checked = 0
-    for side in (+1, -1):
-        scores = t - slack if side > 0 else -(t + slack)
-        scores_sorted = -np.sort(-scores, axis=1)
-        prefix = np.cumsum(scores_sorted, axis=1)
-        best = np.max(prefix[:, m_b - 1 :], axis=1)
-        best[pop < m_a] = -np.inf
-        checked += int(np.count_nonzero(pop >= m_a))
-        violating = np.flatnonzero(best > 1e-9)
-        if violating.size:
-            mask = int(violating[np.argmax(best[violating])])
-            witness = _witness_from_mask(list(rows), list(cols), block, mask, delta, eps, side)
-            return PairVerdict(
-                status="irregular",
-                mode="exact",
-                eps=eps,
-                density=delta,
-                witness=witness,
-                checked=checked,
-            )
-    return PairVerdict(status="regular", mode="exact", eps=eps, density=delta, checked=checked)
-
-
-def _sampled_pair_check(g, rows, cols, eps, samples, rng):
-    rows = list(rows)
-    cols = list(cols)
-    delta = edge_density(g, rows, cols)
-    m_a = max(1, math.ceil(eps * len(rows) - 1e-12))
-    m_b = max(1, math.ceil(eps * len(cols) - 1e-12))
-    g = np.asarray(g)
-    for _ in range(samples):
-        ka = int(rng.integers(m_a, len(rows) + 1))
-        kb = int(rng.integers(m_b, len(cols) + 1))
-        sub_r = rng.choice(len(rows), size=ka, replace=False)
-        sub_c = rng.choice(len(cols), size=kb, replace=False)
-        ridx = [rows[i] for i in sub_r]
-        cidx = [cols[i] for i in sub_c]
-        edges = float(g[np.ix_(ridx, cidx)].sum())
-        expected = delta * ka * kb
-        if abs(edges - expected) > eps * ka * kb + 1e-9:
-            witness = PairWitness(
-                rows=tuple(sorted(ridx)),
-                cols=tuple(sorted(cidx)),
-                edges=edges,
-                expected=expected,
-                deviation=abs(edges - expected),
-                threshold=eps * ka * kb,
-            )
-            return PairVerdict(
-                status="irregular",
-                mode="sampled",
-                eps=eps,
-                density=delta,
-                witness=witness,
-                checked=samples,
-            )
-    return PairVerdict(status="unrefuted", mode="sampled", eps=eps, density=delta, checked=samples)
-
-
 def _greedy_side(values, slack, minimum):
-    """Pick entries maximizing sum(values - slack) subject to a minimum count."""
+    """Entries maximizing sum(values - slack) subject to a minimum count."""
     order = np.argsort(-(values - slack))
     best_val, best_k = -np.inf, max(1, minimum)
     running = 0.0
@@ -362,57 +271,72 @@ def _greedy_side(values, slack, minimum):
         running += values[j] - slack
         if rank >= max(1, minimum) and running > best_val:
             best_val, best_k = running, rank
-    return order[:best_k], best_val
+    return order[:best_k]
 
 
-def _alternating_pair_check(g, rows, cols, eps, rng, restarts=8, sweeps=25):
-    rows = list(rows)
-    cols = list(cols)
-    delta = edge_density(g, rows, cols)
-    block = np.asarray(g)[np.ix_(rows, cols)]
-    m_a = max(1, math.ceil(eps * len(rows) - 1e-12))
-    m_b = max(1, math.ceil(eps * len(cols) - 1e-12))
-    best = None
+def _exact_search(rows, cols, block, delta, eps, m_a, m_b):
+    """Every row subset A' of at least m_a rows, each with its best B' in
+    closed form: sort the columns by e(A', {w}) - delta |A'| and take the best
+    prefix of at least m_b of them, for either sign of the deviation."""
+    sums = _subset_sums(block)[1]
+    sizes = np.bitwise_count(np.arange(len(sums), dtype=np.uint64)).astype(float)
+    t = sums - delta * sizes[:, None]  # t[mask, w] = e(A', {w}) - delta |A'|
+    slack = eps * sizes[:, None]
+    admissible = sizes >= m_a
+    checked = 0
+    for side in (+1, -1):
+        scores = t - slack if side > 0 else -(t + slack)
+        prefix = np.cumsum(-np.sort(-scores, axis=1), axis=1)
+        best = np.max(prefix[:, m_b - 1 :], axis=1)
+        best[~admissible] = -np.inf
+        checked += int(np.count_nonzero(admissible))
+        violating = np.flatnonzero(best > 1e-9)
+        if violating.size:
+            mask = int(violating[np.argmax(best[violating])])
+            sel_r = np.flatnonzero((mask >> np.arange(len(rows))) & 1)
+            sel_c = _greedy_side(side * t[mask], eps * sel_r.size, m_b)
+            return _pair_witness(rows, cols, block, sel_r, sel_c, delta, eps), checked
+    return None, checked
+
+
+def _sampled_search(rows, cols, block, delta, eps, m_a, m_b, rng, samples):
+    """``samples`` uniformly drawn sub-pairs of admissible sizes."""
+    for _ in range(samples):
+        ka = int(rng.integers(m_a, len(rows) + 1))
+        kb = int(rng.integers(m_b, len(cols) + 1))
+        sel_r = rng.choice(len(rows), size=ka, replace=False)
+        sel_c = rng.choice(len(cols), size=kb, replace=False)
+        edges = float(block[np.ix_(sel_r, sel_c)].sum())
+        if abs(edges - delta * ka * kb) > eps * ka * kb + 1e-9:
+            return _pair_witness(rows, cols, block, sel_r, sel_c, delta, eps), samples
+    return None, samples
+
+
+def _alternating_search(rows, cols, block, delta, eps, m_a, m_b, rng):
+    """Alternate best-response row and column picks on the signed, centred
+    block from random column starts; keep the most violating sub-pair."""
+    best, best_excess = None, 1e-9
     for sign in (+1, -1):
         centered = sign * (block - delta)
-        for _ in range(restarts):
+        for _ in range(PAIR_RESTARTS):
             sel_c = np.flatnonzero(rng.random(len(cols)) < 0.5)
             if sel_c.size < m_b:
                 sel_c = np.arange(len(cols))
-            for _ in range(sweeps):
+            for _ in range(PAIR_SWEEPS):
                 row_vals = centered[:, sel_c].sum(axis=1)
-                sel_r, _ = _greedy_side(row_vals, eps * sel_c.size, m_a)
+                sel_r = _greedy_side(row_vals, eps * sel_c.size, m_a)
                 col_vals = centered[sel_r, :].sum(axis=0)
-                new_c, val = _greedy_side(col_vals, eps * sel_r.size, m_b)
-                if np.array_equal(np.sort(new_c), np.sort(sel_c)):
-                    sel_c = new_c
-                    break
+                new_c = _greedy_side(col_vals, eps * sel_r.size, m_b)
+                converged = np.array_equal(np.sort(new_c), np.sort(sel_c))
                 sel_c = new_c
+                if converged:
+                    break
             edges = float(block[np.ix_(sel_r, sel_c)].sum())
-            expected = delta * sel_r.size * sel_c.size
-            excess = abs(edges - expected) - eps * sel_r.size * sel_c.size
-            if excess > 1e-9 and (best is None or excess > best[0]):
-                best = (
-                    excess,
-                    PairWitness(
-                        rows=tuple(sorted(rows[i] for i in sel_r)),
-                        cols=tuple(sorted(cols[i] for i in sel_c)),
-                        edges=edges,
-                        expected=expected,
-                        deviation=abs(edges - expected),
-                        threshold=eps * sel_r.size * sel_c.size,
-                    ),
-                )
-    if best is not None:
-        return PairVerdict(
-            status="irregular",
-            mode="alternating",
-            eps=eps,
-            density=delta,
-            witness=best[1],
-            checked=restarts,
-        )
-    return PairVerdict(status="unrefuted", mode="alternating", eps=eps, density=delta, checked=restarts)
+            excess = abs(edges - delta * sel_r.size * sel_c.size) - eps * sel_r.size * sel_c.size
+            if excess > best_excess:
+                best, best_excess = (sel_r, sel_c), excess
+    witness = None if best is None else _pair_witness(rows, cols, block, *best, delta, eps)
+    return witness, PAIR_RESTARTS
 
 
 def regular_pair_check(g, rows, cols, eps, mode="exact", samples=200, seed=0):
@@ -421,25 +345,35 @@ def regular_pair_check(g, rows, cols, eps, mode="exact", samples=200, seed=0):
     Exact mode (parts of at most 16 vertices) enumerates every admissible
     row subset, with the optimal column subset found in closed form, and is
     definitive; sampled mode tests ``samples`` random admissible sub-pairs;
-    alternating mode climbs the deviation functional.  Irregular verdicts
-    always carry a recountable witness.
+    alternating mode climbs the deviation functional.  Only exact mode can
+    return "regular": the other two say "unrefuted" when they find nothing.
+    Irregular verdicts always carry a recountable witness.
     """
+    rows, cols = list(rows), list(cols)
     if len(rows) < 1 or len(cols) < 1:
         raise PreconditionError("parts must be non-empty")
     if not 0 < eps < 1:
         raise PreconditionError("eps must lie in (0, 1)")
-    if mode == "exact":
-        if len(rows) > EXACT_PAIR_LIMIT:
-            raise BudgetExceededError(
-                f"exact mode caps parts at {EXACT_PAIR_LIMIT} vertices"
-            )
-        return _exact_pair_check(g, rows, cols, eps)
+    if mode not in ("exact", "sampled", "alternating"):
+        raise PreconditionError(f"unknown mode {mode!r}")
+    if mode == "exact" and len(rows) > EXACT_PAIR_LIMIT:
+        raise BudgetExceededError(f"exact mode caps parts at {EXACT_PAIR_LIMIT} vertices")
+    block = np.asarray(g)[np.ix_(rows, cols)]
+    delta = float(block.mean())
+    m_a = max(1, math.ceil(eps * len(rows) - 1e-12))
+    m_b = max(1, math.ceil(eps * len(cols) - 1e-12))
     rng = np.random.default_rng(seed)
-    if mode == "sampled":
-        return _sampled_pair_check(g, rows, cols, eps, samples, rng)
-    if mode == "alternating":
-        return _alternating_pair_check(g, rows, cols, eps, rng)
-    raise PreconditionError(f"unknown mode {mode!r}")
+    pair = (rows, cols, block, delta, eps, m_a, m_b)
+    if mode == "exact":
+        witness, checked = _exact_search(*pair)
+    elif mode == "sampled":
+        witness, checked = _sampled_search(*pair, rng, samples)
+    else:
+        witness, checked = _alternating_search(*pair, rng)
+    status = "irregular" if witness else "regular" if mode == "exact" else "unrefuted"
+    return PairVerdict(
+        status=status, mode=mode, eps=eps, density=delta, witness=witness, checked=checked
+    )
 
 
 # --- partitions --------------------------------------------------------------
@@ -488,9 +422,7 @@ def _atom_cells(n, atoms):
     signatures = {}
     ids = []
     for v in range(n):
-        sig = tuple(
-            (int(v in atom.a), int(v in atom.b)) for atom, _ in atoms
-        )
+        sig = tuple((int(v in atom.a), int(v in atom.b)) for atom, _ in atoms)
         ids.append(signatures.setdefault(sig, len(signatures)))
     return np.array(ids), [s for s, _ in sorted(signatures.items(), key=lambda kv: kv[1])]
 
@@ -502,8 +434,6 @@ def szemeredi_regularize(
     mode: str = "sampled",
     growth: GrowthFunction | None = None,
     seed: int = 0,
-    samples: int = 200,
-    starts: int = 64,
 ) -> RegularityPartition:
     """Equitable partition with most pairs eps-regular.
 
@@ -520,7 +450,7 @@ def szemeredi_regularize(
         raise PreconditionError("m must be at least 1")
     if growth is None:
         growth = GrowthFunction.arithmetic_regularity(eps)
-    atoms = CutAtomSet(n, starts=starts, seed=seed)
+    atoms = CutAtomSet(n, seed=seed)
     dec = strong_decompose(g, atoms, eps, growth)
     cell_ids, signatures = _atom_cells(n, dec.atoms)
     n_cells = len(signatures)
@@ -550,13 +480,7 @@ def szemeredi_regularize(
     for i in range(m_prime):
         for j in range(i + 1, m_prime):
             verdict = regular_pair_check(
-                g,
-                parts[i],
-                parts[j],
-                eps,
-                mode=mode,
-                samples=samples,
-                seed=seed * 1_000_003 + i * 1009 + j,
+                g, parts[i], parts[j], eps, mode=mode, seed=seed * 1_000_003 + i * 1009 + j
             )
             if verdict.status == "unrefuted":
                 verdict.status = "regular"
@@ -586,7 +510,7 @@ def szemeredi_regularize(
     )
 
 
-def weak_regularize(g, eps: float, seed: int = 0, starts: int = 64):
+def weak_regularize(g, eps: float, seed: int = 0):
     """Cut decomposition with at most 1/eps^2 atoms and a pseudorandom rest.
 
     Returns (atom list with coefficients, residual, certificate scan); the
@@ -596,7 +520,7 @@ def weak_regularize(g, eps: float, seed: int = 0, starts: int = 64):
     g = np.asarray(g, dtype=float)
     if not 0 < eps <= 1:
         raise PreconditionError("eps must lie in (0, 1]")
-    atoms = CutAtomSet(g.shape[0], starts=starts, seed=seed)
+    atoms = CutAtomSet(g.shape[0], seed=seed)
     dec = weak_decompose(g, atoms, eps)
     scan = CorrelationScan(
         lower=dec.pseudo_found, upper=dec.pseudo_found, exact=dec.pseudo_exact

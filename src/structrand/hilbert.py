@@ -111,7 +111,7 @@ class DenseAtomSet(AtomSet):
 
     exact = True
 
-    def __init__(self, matrix, name="dense", max_candidates=64):
+    def __init__(self, matrix, name="dense"):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("expected one atom per row")
@@ -121,7 +121,6 @@ class DenseAtomSet(AtomSet):
         self.matrix = matrix
         self.atom_sq_norms = sq
         self.name = name
-        self.max_candidates = max_candidates
 
     def __len__(self):
         return self.matrix.shape[0]
@@ -412,11 +411,16 @@ class Span:
                 raise CertificateError("exact search proposed an atom inside the current span")
         else:
             return False
-        if len(self.keys) >= _iteration_budget(threshold):
+        k = len(self.keys)
+        if k >= _iteration_budget(threshold):
             raise CertificateError("energy argument violated: budget exceeded")
+        if k == self._rows.shape[1]:  # double the capacity: O(1) amortized copies per atom
+            grown = np.empty((2, 2 * k or 1, size))
+            grown[:, :k] = self._rows
+            self._rows = grown
+        self._rows[0, k], self._rows[1, k] = v, u / nu
+        self.raw, self.basis = self._rows[0, : k + 1], self._rows[1, : k + 1]
         self.keys.append(key)
-        self.raw = np.vstack([self.raw, v])
-        self.basis = np.vstack([self.basis, u / nu])
         q = self.basis[-1].reshape(self.target.shape)
         self.f_str = self.f_str + inner_product(self.target, q) * q
         self.f_psd = self.target - self.f_str
@@ -432,7 +436,8 @@ class Span:
         self.kept_str = self.kept_str + self.f_str
         self.kept_atoms.extend(self.atoms)
         self.target = self.f_psd
-        self.basis = self.raw = np.empty((0, self.target.size))
+        self._rows = np.empty((2, 0, self.target.size))  # raw atoms, basis; grown in _select
+        self.raw, self.basis = self._rows[0], self._rows[1]
         self.keys, self.atoms, self.trace = [], [], []
         self.f_str = np.zeros_like(self.target)
 

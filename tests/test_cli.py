@@ -269,6 +269,40 @@ class TestExitCodes:
         assert code == 4
 
     @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["graph-reg", "--eps", "0"], 2),
+            (["graph-reg", "--m", "0"], 2),
+            (["decompose", "--variant", "strong", "--growth", "exp-2", "--eps", "2"], 2),
+            (["sparse-demo", "--eps", "2"], 2),
+            (["gowers", "--gen", "random:n=-1"], 2),
+            (["arith-reg", "--gen", "subset:n=-2"], 2),
+            (["graph-reg", "--gen", "gnp:n=-3"], 2),
+            (["gowers", "--gen", "random:n=2.5"], 2),
+            (["weak-reg", "--gen", "gnp:n=0"], 2),
+            (["sparse-demo", "--gen", "sparse:N=0"], 2),
+            (["sparse-demo", "--gen", "sparse:N=1"], 2),
+            (["graph-reg", "--gen", "gnp:n=64,p=2"], 2),
+            (["inverse", "--gen", "planted-code:n=8,flip=2"], 2),
+            (["inverse", "--gen", "planted-code:n=8,degree=0"], 2),
+            (["inverse", "--gen", "planted-code:n=3,degree=5"], 2),
+            (["decompose", "--growth", "exp-abc"], 2),
+            (["decompose", "--growth", "linear-abc"], 2),
+            (["gowers", "--gen", "random:n=3,foo=2"], 2),
+            (["arith-reg", "--gen", "random:n=4"], 2),
+            (["gowers", "--gen", "random:n=40"], 4),
+        ],
+        ids=["eps-0", "m-0", "eps-2-strong", "eps-2-sparse", "cube-n-neg", "subset-n-neg",
+             "gnp-n-neg", "cube-n-fraction", "gnp-n-0", "sparse-N-0", "sparse-N-1", "gnp-p-2",
+             "flip-2", "degree-0", "degree-over-n", "growth-exp-abc", "growth-linear-abc",
+             "unknown-key", "subset-from-cube-generator", "cube-cap"],
+    )
+    def test_bad_generator_or_option(self, argv, code, capsys):
+        # refused before any input of 2^n values is allocated
+        assert main(argv) == code
+        assert ("precondition failure" if code == 2 else "cube cap") in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["gowers", "--gen", "random:n=14", "--d", "2"],

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structrand import (
     BudgetExceededError,
     CutAtomSet,
     PreconditionError,
-    cut_atom_search,
     edge_density,
     gnp_random_graph,
     graph_from_edges,
@@ -57,13 +58,13 @@ class TestCutAtomSearch:
     def test_planted_block(self):
         atom_vals = np.zeros((8, 8))
         atom_vals[:4, 4:] = 1.0
-        found = cut_atom_search(atom_vals, 0.1)
-        assert found is not None
-        ip = inner_product(atom_vals, found.values())
+        found = CutAtomSet(8).candidates(atom_vals, 0.1)
+        assert found
+        ip = inner_product(atom_vals, found[0][0].values())
         assert ip >= 16 / 64 - 1e-12
 
     def test_zero_function(self):
-        assert cut_atom_search(np.zeros((8, 8)), 0.1) is None
+        assert CutAtomSet(8).candidates(np.zeros((8, 8)), 0.1) == []
 
     def test_exhaustive_matches_bruteforce(self):
         rng = np.random.default_rng(1)
@@ -82,9 +83,9 @@ class TestCutAtomSearch:
         g = np.clip(g + extra + extra.T, 0, 1)
         f = g - g.mean()
         planted = inner_product(f, np.pad(np.ones((16, 16)), ((0, 16), (16, 0)))[:32, :32])
-        atom = cut_atom_search(f, abs(planted) / 2)
-        assert atom is not None
-        assert abs(inner_product(f, atom.values())) >= abs(planted) / 2
+        found = CutAtomSet(32).candidates(f, abs(planted) / 2)
+        assert found
+        assert abs(inner_product(f, found[0][0].values())) >= abs(planted) / 2
 
     def test_heuristic_flagged(self):
         rng = np.random.default_rng(3)
@@ -171,6 +172,38 @@ class TestRegularPairCheck:
         assert verdict.status == "unrefuted"
         scan = CutAtomSet(64, seed=16).scan(g - g.mean())
         assert scan.lower <= 4 * eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ka=st.integers(1, 8),
+    kb=st.integers(1, 8),
+    eps=st.integers(10, 50).map(lambda c: c / 100),
+    mode=st.sampled_from(["exact", "sampled", "alternating"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_verdict_properties(ka, kb, eps, mode, seed):
+    """Witnesses are genuine, recountable sub-pairs listed in ascending order;
+    exact verdicts match the brute-force oracle, and only exact mode says
+    "regular"."""
+    rng = np.random.default_rng(seed)
+    g = gnp_random_graph(ka + kb, rng.uniform(0.1, 0.9), rng)
+    perm = rng.permutation(ka + kb).tolist()
+    rows, cols = perm[:ka], perm[ka:]
+    verdict = regular_pair_check(g, rows, cols, eps, mode=mode, seed=seed)
+    w = verdict.witness
+    assert (verdict.status == "irregular") == (w is not None)
+    if w is not None:
+        assert set(w.rows) <= set(rows) and set(w.cols) <= set(cols)
+        assert len(w.rows) >= math.ceil(eps * ka - 1e-12)
+        assert len(w.cols) >= math.ceil(eps * kb - 1e-12)
+        assert w.edges == count_edges(g, w.rows, w.cols)
+        assert w.deviation > w.threshold
+        assert list(w.rows) == sorted(w.rows) and list(w.cols) == sorted(w.cols)
+    if mode == "exact":
+        assert verdict.status == naive_regular_pair(g, rows, cols, eps)[0]
+    else:
+        assert verdict.status in ("irregular", "unrefuted")
 
 
 class TestSzemerediRegularize:
