@@ -31,27 +31,12 @@ from .factors import (
     sparse_decompose,
 )
 from .gowers import MAX_D, _u2_power_by_shifts, gowers_norm, gowers_norm_u2_fft
-from .graphs import CutAtomSet, szemeredi_regularize, weak_regularize
+from .graphs import MAX_GRAPH_N, CutAtomSet, szemeredi_regularize, weak_regularize
 from .hilbert import GrowthFunction, norm, orthogonal_weak_decompose, strong_decompose, weak_decompose
 from .inverse import inverse_99, inverse_100
 from .io import load_adjacency_binary, load_edge_list, load_subset, load_vector_binary, load_vector_json, partition_to_dot
 
 log = logging.getLogger("structrand")
-
-STREAM_LABELS = {
-    "gowers": 101,
-    "decompose": 102,
-    "arith-reg": 103,
-    "graph-reg": 104,
-    "weak-reg": 105,
-    "inverse": 106,
-    "sparse-demo": 107,
-}
-
-
-def rng_for(seed: int, command: str):
-    return np.random.default_rng([int(seed), STREAM_LABELS[command]])
-
 
 # input kind -> generator -> key -> (integer?, low, high, default); a bound may
 # name another key, and a default of None is computed where the key is used
@@ -84,14 +69,15 @@ GENERATORS = {
 }
 
 
-def parse_gen(spec: str) -> dict:
-    """A 'name:key=val,key=val' generator description, checked against
-    GENERATORS and completed with its defaults."""
+def parse_gen(spec: str, kind: str) -> dict:
+    """A 'name:key=val,key=val' description of a generator of the given input
+    kind, checked against GENERATORS and completed with its defaults."""
     name, _, rest = spec.partition(":")
-    kinds = [kind for kind, generators in GENERATORS.items() if name in generators]
-    if not kinds:
-        raise PreconditionError(f"unknown generator {name!r} in {spec!r}")
-    keys = GENERATORS[kinds[0]][name]
+    if name not in GENERATORS[kind]:
+        raise PreconditionError(
+            f"unknown {kind} generator {name!r} in {spec!r}; use {' | '.join(GENERATORS[kind])}"
+        )
+    keys = GENERATORS[kind][name]
     params = {}
     for item in rest.split(",") if rest else ():
         key, _, val = item.partition("=")
@@ -114,14 +100,16 @@ def parse_gen(spec: str) -> dict:
             raise PreconditionError(f"{name}: {key} must be {what} in [{low}, {high}]")
         if integer:
             params[key] = int(value)
-    if kinds[0] in ("cube", "subset") and params["n"] > MAX_CUBE_N:
+    if kind in ("cube", "subset") and params["n"] > MAX_CUBE_N:
         raise BudgetExceededError(f"n = {params['n']} exceeds the cube cap {MAX_CUBE_N}")
+    if kind == "graph" and params["n"] > MAX_GRAPH_N:
+        raise BudgetExceededError(f"n = {params['n']} exceeds the graph cap {MAX_GRAPH_N}")
     params["name"] = name
     return params
 
 
 def parse_growth(text: str, eps: float) -> GrowthFunction:
-    if text in (None, "", "arith-reg"):
+    if text == "arith-reg":
         return GrowthFunction.arithmetic_regularity(eps)
     kind, _, value = text.partition("-")
     if kind not in ("exp", "linear"):
@@ -136,11 +124,11 @@ def parse_growth(text: str, eps: float) -> GrowthFunction:
 
 
 def make_cube_function(args, rng) -> np.ndarray:
-    if args.input:
+    if args.input is not None:
         if args.input.endswith(".bin"):
             return load_vector_binary(args.input)
         return load_vector_json(args.input)
-    params = parse_gen(args.gen)
+    params = parse_gen(args.gen, "cube")
     n = params["n"]
     if params["name"] == "random":
         return rng.uniform(-1.0, 1.0, 1 << n)
@@ -148,28 +136,25 @@ def make_cube_function(args, rng) -> np.ndarray:
         return np.where(rng.random(1 << n) < 0.5, -1.0, 1.0)
     if params["name"] == "constant":
         return np.full(1 << n, params["value"])
-    if params["name"] == "planted-code":
-        degree, flip = params["degree"], params["flip"]
-        monos = []
-        variables = list(range(n))
-        count = params.get("terms", max(1, n // 3))
-        for _ in range(count):
-            size = int(rng.integers(1, degree + 1))
-            mono = tuple(sorted(rng.choice(variables, size=size, replace=False)))
-            monos.append(mono)
-        poly = F2Polynomial.from_monomials(n, monos)
-        noise = np.where(rng.random(1 << n) < flip, -1.0, 1.0)
-        values = poly.code() * noise
-        return values
-    raise PreconditionError(f"unknown cube generator {params['name']!r}")
+    degree, flip = params["degree"], params["flip"]  # planted-code
+    monos = []
+    variables = list(range(n))
+    count = params.get("terms", max(1, n // 3))
+    for _ in range(count):
+        size = int(rng.integers(1, degree + 1))
+        mono = tuple(sorted(rng.choice(variables, size=size, replace=False)))
+        monos.append(mono)
+    poly = F2Polynomial.from_monomials(n, monos)
+    noise = np.where(rng.random(1 << n) < flip, -1.0, 1.0)
+    return poly.code() * noise
 
 
 def make_graph(args, rng) -> np.ndarray:
-    if args.input:
+    if args.input is not None:
         if args.input.endswith(".bin"):
             return load_adjacency_binary(args.input)
         return load_edge_list(args.input)[1]
-    params = parse_gen(args.gen)
+    params = parse_gen(args.gen, "graph")
     n = params["n"]
     if params["name"] == "gnp":
         from .graphs import gnp_random_graph
@@ -179,23 +164,20 @@ def make_graph(args, rng) -> np.ndarray:
         g = np.ones((n, n))
         np.fill_diagonal(g, 0.0)
         return g
-    if params["name"] == "bipartite":
-        half = n // 2
-        g = np.zeros((n, n))
-        g[:half, half:] = 1.0
-        g[half:, :half] = 1.0
-        return g
-    raise PreconditionError(f"unknown graph generator {params['name']!r}")
+    half = n // 2  # bipartite
+    g = np.zeros((n, n))
+    g[:half, half:] = 1.0
+    g[half:, :half] = 1.0
+    return g
 
 
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_gowers(args) -> tuple[dict, list]:
-    rng = rng_for(args.seed, "gowers")
+def cmd_gowers(args, rng) -> tuple[dict, list]:
     f = make_cube_function(args, rng)
     n = cube_dim(f)
-    d = 3 if args.d is None else args.d
+    d = args.d
     if not 1 <= d <= MAX_D:
         raise PreconditionError(f"--d must lie in 1..{MAX_D}, got {d}")
     norms = [gowers_norm(f, k) for k in range(1, d + 1)]
@@ -220,11 +202,12 @@ def cmd_gowers(args) -> tuple[dict, list]:
     return payload, rows
 
 
-def cmd_decompose(args) -> tuple[dict, list]:
-    rng = rng_for(args.seed, "decompose")
-    eps = args.eps or 0.25
+def cmd_decompose(args, rng) -> tuple[dict, list]:
+    eps = args.eps
     if args.variant not in ("weak", "orthogonal", "strong"):
         raise PreconditionError(f"unknown variant {args.variant!r}: weak | orthogonal | strong")
+    if args.variant != "strong" and args.growth is not None:
+        raise PreconditionError(f"--growth applies to --variant strong, not {args.variant}")
     if args.atoms == "cuts":
         f = make_graph(args, rng)
         atom_set = CutAtomSet(f.shape[0], seed=args.seed)
@@ -248,6 +231,7 @@ def cmd_decompose(args) -> tuple[dict, list]:
     elif args.variant == "orthogonal":
         dec = orthogonal_weak_decompose(f, atom_set, eps)
     else:
+        args.growth = args.growth or "arith-reg"  # the preset used, echoed in config
         growth = parse_growth(args.growth, eps)
         growth_name = growth.name
         dec = strong_decompose(f, atom_set, eps, growth)
@@ -264,10 +248,9 @@ def cmd_decompose(args) -> tuple[dict, list]:
     return payload, rows
 
 
-def cmd_arith_reg(args) -> tuple[dict, list]:
-    rng = rng_for(args.seed, "arith-reg")
-    eps = args.eps or 0.25
-    if args.input:
+def cmd_arith_reg(args, rng) -> tuple[dict, list]:
+    eps = args.eps
+    if args.input is not None:
         if args.n is None:
             raise PreconditionError("--n is required with --input for arith-reg")
         if not 0 <= args.n <= MAX_CUBE_N:
@@ -277,9 +260,9 @@ def cmd_arith_reg(args) -> tuple[dict, list]:
         f = np.zeros(1 << n)
         f[points] = 1.0
     else:
-        params = parse_gen(args.gen)
-        if params["name"] != "subset":
-            raise PreconditionError(f"unknown subset generator {params['name']!r}")
+        if args.n is not None:
+            raise PreconditionError("--n goes with --input; a --gen spec carries its own n")
+        params = parse_gen(args.gen, "subset")
         n = params["n"]
         f = (rng.random(1 << n) < params["density"]).astype(float)
     report = arithmetic_regularize(f, n, eps)
@@ -305,13 +288,10 @@ def cmd_arith_reg(args) -> tuple[dict, list]:
     return payload, rows
 
 
-def cmd_graph_reg(args) -> tuple[dict, list]:
-    rng = rng_for(args.seed, "graph-reg")
-    eps = args.eps or 0.25
+def cmd_graph_reg(args, rng) -> tuple[dict, list]:
+    eps = args.eps
     g = make_graph(args, rng)
-    part = szemeredi_regularize(
-        g, eps, args.m or 2, mode=args.mode or "sampled", seed=args.seed
-    )
+    part = szemeredi_regularize(g, eps, args.m, mode=args.mode, seed=args.seed)
     if not part.meets_contract:
         raise CertificateError(
             f"{part.irregular_count} irregular pairs exceed eps * m'^2"
@@ -328,9 +308,8 @@ def cmd_graph_reg(args) -> tuple[dict, list]:
     return payload, rows
 
 
-def cmd_weak_reg(args) -> tuple[dict, list]:
-    rng = rng_for(args.seed, "weak-reg")
-    eps = args.eps or 0.25
+def cmd_weak_reg(args, rng) -> tuple[dict, list]:
+    eps = args.eps
     g = make_graph(args, rng)
     atoms, residual, scan = weak_regularize(g, eps, seed=args.seed)
     if len(atoms) > math.floor(1 / eps**2 + 1e-9):
@@ -349,10 +328,9 @@ def cmd_weak_reg(args) -> tuple[dict, list]:
     return payload, rows
 
 
-def cmd_inverse(args) -> tuple[dict, list]:
-    rng = rng_for(args.seed, "inverse")
+def cmd_inverse(args, rng) -> tuple[dict, list]:
     f = make_cube_function(args, rng)
-    d = 2 if args.d is None else args.d
+    d = args.d
     delta = args.delta
     payload = {"d": d, "n": cube_dim(f)}
     if delta in (None, 0, 0.0):
@@ -372,13 +350,10 @@ def cmd_inverse(args) -> tuple[dict, list]:
     return payload, rows
 
 
-def cmd_sparse_demo(args) -> tuple[dict, list]:
-    rng = rng_for(args.seed, "sparse-demo")
-    params = parse_gen(args.gen or "sparse:N=4096")
-    if params["name"] != "sparse":
-        raise PreconditionError(f"unknown sparse generator {params['name']!r}")
+def cmd_sparse_demo(args, rng) -> tuple[dict, list]:
+    params = parse_gen(args.gen, "sparse")
     n_points = params["N"]
-    eps = args.eps or 0.3
+    eps = args.eps
     eta = args.eta
     log_n = math.log(n_points)
     density = params.get("density", 1.0 / log_n)
@@ -409,17 +384,44 @@ def cmd_sparse_demo(args) -> tuple[dict, list]:
     return payload, rows
 
 
+# command -> (handler, rng stream label, default --gen, {option: default}).
+# Every command also takes --gen, --seed, --out and --format, and all but
+# sparse-demo take --input; an option a command does not list is a usage error.
 COMMANDS = {
-    "gowers": cmd_gowers,
-    "decompose": cmd_decompose,
-    "arith-reg": cmd_arith_reg,
-    "graph-reg": cmd_graph_reg,
-    "weak-reg": cmd_weak_reg,
-    "inverse": cmd_inverse,
-    "sparse-demo": cmd_sparse_demo,
+    "gowers": (cmd_gowers, 101, "random:n=8", {"d": 3}),
+    "decompose": (
+        cmd_decompose,
+        102,
+        "random:n=8",
+        {"eps": 0.25, "variant": "strong", "atoms": "characters", "growth": None},
+    ),
+    "arith-reg": (cmd_arith_reg, 103, "subset:n=10,density=0.5", {"eps": 0.25, "n": None}),
+    "graph-reg": (
+        cmd_graph_reg,
+        104,
+        "gnp:n=128,p=0.5",
+        {"eps": 0.25, "m": 2, "mode": "sampled", "dot": None},
+    ),
+    "weak-reg": (cmd_weak_reg, 105, "gnp:n=64,p=0.5", {"eps": 0.25}),
+    "inverse": (cmd_inverse, 106, "planted-code:n=10,degree=1,flip=0.01", {"d": 2, "delta": None}),
+    "sparse-demo": (cmd_sparse_demo, 107, "sparse:N=4096", {"eps": 0.3, "eta": 0.2}),
 }
 
-REPORT_SCHEMA_VERSION = 1
+OPTIONS = {
+    "eps": (float, "accuracy, in (0, 1]"),
+    "d": (int, "uniformity norm order"),
+    "delta": (float, "noise level of the 99%% inverse; exact inverse when omitted"),
+    "eta": (float, "majorant slack"),
+    "m": (int, "requested part count"),
+    "n": (int, "cube dimension of an --input subset"),
+    "growth": (str, "strong variant only: arith-reg (default) | exp-B | linear-C"),
+    "mode": (str, "regularity check mode: exact | sampled | alternating"),
+    "variant": (str, "weak | orthogonal | strong"),
+    "atoms": (str, "characters | reed-muller-K | cuts"),
+    "dot": (str, "write the reduced cluster graph here"),
+}
+
+REPORT_SCHEMA_VERSION = 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,69 +430,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="structure-vs-randomness decompositions and their certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    for name, (_, _, gen, options) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         source = p.add_mutually_exclusive_group()
-        source.add_argument("--input", help="input file (JSON or .bin vector, edge list, subset)")
-        source.add_argument("--gen", help="generator spec, e.g. random:n=8 or gnp:n=64,p=0.5")
+        if name != "sparse-demo":
+            source.add_argument("--input", help="input file (JSON or .bin vector, edge list, subset)")
+        source.add_argument("--gen", help=f"generator spec (default {gen})")
         p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--eta", type=float, default=0.2)
-        p.add_argument("--m", type=int, default=None, help="requested part count")
-        p.add_argument("--n", type=int, default=None, help="cube dimension for subset inputs")
-        p.add_argument("--growth", default=None, help="arith-reg | exp-B | linear-C")
-        p.add_argument(
-            "--mode", default=None, help="regularity check mode: exact | sampled | alternating"
-        )
-        p.add_argument("--variant", default="strong", help="decompose: weak | orthogonal | strong")
-        p.add_argument("--atoms", default="characters", help="decompose: characters | reed-muller-K | cuts")
-        p.add_argument("--dot", default=None, help="write the reduced cluster graph here")
+        for option, default in options.items():
+            kind, text = OPTIONS[option]
+            p.add_argument(f"--{option}", type=kind, default=default, help=text)
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
 def run(args) -> str:
-    if args.gen is None and args.input is None:
-        defaults = {
-            "gowers": "random:n=8",
-            "decompose": "random:n=8",
-            "arith-reg": "subset:n=10,density=0.5",
-            "graph-reg": "gnp:n=128,p=0.5",
-            "weak-reg": "gnp:n=64,p=0.5",
-            "inverse": "planted-code:n=10,degree=1,flip=0.01",
-            "sparse-demo": "sparse:N=4096",
-        }
-        args.gen = defaults[args.command]
-    if args.eps is not None and not 0 < args.eps <= 1:
+    handler, label, gen, options = COMMANDS[args.command]
+    if args.gen is None and vars(args).get("input") is None:
+        args.gen = gen
+    if "eps" in options and not 0 < args.eps <= 1:
         raise PreconditionError(f"--eps must lie in (0, 1], got {args.eps}")
-    if args.m is not None and args.m < 1:
+    if "m" in options and args.m < 1:
         raise PreconditionError(f"--m must be at least 1, got {args.m}")
-    payload, rows = COMMANDS[args.command](args)
+    payload, rows = handler(args, np.random.default_rng([int(args.seed), label]))
     if args.format == "csv":
         buf = _stdio.StringIO()
         writer = csv.writer(buf)
         writer.writerows(rows)
         return buf.getvalue()
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "out", "format")}
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": args.command,
-        "config": {
-            "gen": args.gen,
-            "input": args.input,
-            "seed": args.seed,
-            "eps": args.eps,
-            "d": args.d,
-            "delta": args.delta,
-            "eta": args.eta,
-            "m": args.m,
-            "growth": args.growth,
-            "mode": args.mode,
-            "variant": args.variant,
-            "atoms": args.atoms,
-        },
+        "config": config,
         "seed": args.seed,
         "versions": {"structrand": __version__},
         "payload": payload,

@@ -25,6 +25,7 @@ from .hilbert import (
     weak_decompose,
 )
 
+MAX_GRAPH_N = 4096  # vertices; n^2 = 2^24 cells, as the cube cap
 EXHAUSTIVE_CUT_LIMIT = 12  # all 2^n side-sets are enumerated up to here
 EXACT_PAIR_LIMIT = 16  # exact regularity verdicts enumerate 2^|A| subsets
 CUT_STARTS = 64  # random restarts of the heuristic cut search, besides A = V
@@ -35,6 +36,8 @@ PAIR_SWEEPS = 25  # alternation rounds per pair-search start
 
 def graph_from_edges(n: int, edges) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix with an empty diagonal."""
+    if n > MAX_GRAPH_N:
+        raise BudgetExceededError(f"n = {n} exceeds the graph cap {MAX_GRAPH_N}")
     g = np.zeros((n, n))
     for u, v in edges:
         u, v = int(u), int(v)

@@ -487,8 +487,8 @@ def run_stages(eps, growth, schedule, structure, *, complexity_cap, energy_cap=1
     floor(energy_cap/eps^2) + 1 stages.
     Returns (stage records, the last threshold, the M before it).
     """
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    if not 0 < eps <= 1:
+        raise PreconditionError(f"eps must lie in (0, 1], got {eps}")
     m_prev = 1
     stages = []
     started = time.monotonic()

@@ -14,6 +14,15 @@ import numpy as np
 from .errors import PreconditionError
 
 
+def _text_lines(path, what):
+    """The lines of a text file; bytes that are not UTF-8 are a PreconditionError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise PreconditionError(f"{what} file {path} is not UTF-8 text: {exc}") from None
+
+
 # --- vectors -----------------------------------------------------------------
 
 
@@ -28,7 +37,7 @@ def vector_from_json(obj) -> np.ndarray:
     try:
         values = np.asarray(obj["values"], dtype=float)
         size = int(obj["domain_size"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"malformed vector JSON: {exc}") from None
     if values.ndim != 1 or values.size != size:
         raise PreconditionError("domain_size disagrees with the value count")
@@ -41,11 +50,10 @@ def save_vector_json(path, values):
 
 
 def load_vector_json(path) -> np.ndarray:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PreconditionError(f"{path} is not JSON: {exc}") from None
+    try:
+        obj = json.loads("".join(_text_lines(path, "vector")))
+    except (ValueError, RecursionError) as exc:  # also too deep, or past int()'s digit limit
+        raise PreconditionError(f"{path} is not JSON: {exc}") from None
     return vector_from_json(obj)
 
 
@@ -102,13 +110,12 @@ def save_subset_hex(path, points, n):
 
 def load_subset(path, n: int) -> list:
     """Subset from a JSON list of points or a hex bitmask file."""
-    with open(path) as fh:
-        stripped = fh.read().strip()
+    stripped = "".join(_text_lines(path, "subset")).strip()
     if not stripped.startswith("["):
         return subset_from_hex(stripped, n)
     try:
         points = json.loads(stripped)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise PreconditionError(f"{path} is not a JSON list: {exc}") from None
     for p in points:
         if type(p) is not int or not 0 <= p < 1 << n:
@@ -129,15 +136,17 @@ def save_edge_list(path, g):
 def load_edge_list(path, n: int | None = None):
     """(n, adjacency matrix) from 'u v' lines; n defaults to max index + 1."""
     edges = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 2 or not all(x.isdecimal() for x in fields):
-                raise PreconditionError(f"edge list line {number} is not 'u v': {line!r}")
+    for number, line in enumerate(_text_lines(path, "edge list"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2 or not all(x.isdecimal() for x in fields):
+            raise PreconditionError(f"edge list line {number} is not 'u v': {line!r}")
+        try:
             edges.append((int(fields[0]), int(fields[1])))
+        except ValueError:  # an index past int()'s digit limit
+            raise PreconditionError(f"edge list line {number} has an overlong index") from None
     if n is None:
         n = 1 + max((max(u, v) for u, v in edges), default=-1)
     if n < 1:

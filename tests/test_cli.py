@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from structrand.cli import main
+from structrand.cli import COMMANDS, OPTIONS, build_parser, main
 from structrand.io import save_edge_list, save_vector_binary, save_vector_json
 
 
@@ -325,13 +328,19 @@ class TestExitCodes:
             ("gowers", "f.json", "[]"),
             ("gowers", "f.json", '{"values": []}'),
             ("gowers", "f.json", '{"values": [1.0, '),
+            ("graph-reg", "g.txt", b"0 1\n\xff\xfe 2\n"),
+            ("gowers", "f.json", b'{"values": [1.0], "domain_size": 1\xff}'),
+            ("gowers", "f.json", '{"values": [1.0], "domain_size": Infinity}'),
+            ("gowers", "f.json", "[" * 100000),
+            ("graph-reg", "g.txt", "0 " + "9" * 5000),
         ],
         ids=["empty-edges", "empty-edges-weak", "non-integer", "three-fields",
-             "bare-list", "no-domain-size", "truncated-json"],
+             "bare-list", "no-domain-size", "truncated-json", "edges-not-utf8",
+             "json-not-utf8", "infinite-domain-size", "json-too-deep", "overlong-vertex"],
     )
     def test_malformed_text_input(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name
-        path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
         assert main([command, "--input", str(path)]) == 2
         assert "precondition failure" in capsys.readouterr().err
 
@@ -349,15 +358,18 @@ class TestExitCodes:
             (["decompose", "--atoms", "reed-muller-abc"], None),
             (["decompose", "--atoms", "reed-mullerz"], None),
             (["decompose", "--atoms", "reed-muller2"], None),
+            (["arith-reg", "--n", "4"], b"[1, \xff]"),
+            (["arith-reg", "--n", "4"], "[" + "9" * 5000 + "]"),
         ],
         ids=["truncated-json", "bad-hex", "non-integer-point", "point-past-cube",
              "negative-point", "mask-past-cube", "negative-n", "unknown-variant",
-             "non-integer-degree", "bad-family-suffix", "no-degree-dash"],
+             "non-integer-degree", "bad-family-suffix", "no-degree-dash", "not-utf8",
+             "overlong-point"],
     )
     def test_malformed_subset_or_option(self, tmp_path, capsys, argv, content):
         if content is not None:
             path = tmp_path / "subset.txt"
-            path.write_text(content)
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
             argv = argv + ["--input", str(path)]
         assert main(argv) == 2
         assert "precondition failure" in capsys.readouterr().err
@@ -367,3 +379,100 @@ class TestExitCodes:
         save_vector_json(path, np.zeros(0))
         assert main(["gowers", "--input", str(path)]) == 2
         assert "length 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weak-reg", "--gen", "gnp:n=4097"],
+            ["weak-reg", "--gen", "gnp:n=2000000"],
+            ["graph-reg", "--gen", "complete:n=4097"],
+            ["decompose", "--atoms", "cuts", "--gen", "bipartite:n=2000000"],
+        ],
+        ids=["gnp-4097", "gnp-2e6", "complete-4097", "bipartite-2e6"],
+    )
+    def test_graph_cap(self, argv, capsys):
+        # refused before the n x n matrix is allocated
+        assert main(argv) == 4
+        assert "graph cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vertex", [4096, 3000000])
+    def test_edge_list_past_graph_cap(self, tmp_path, capsys, vertex):
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1\n0 {vertex}\n")
+        assert main(["weak-reg", "--input", str(path)]) == 4
+        assert "graph cap" in capsys.readouterr().err
+
+
+def subparsers():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def settable(parser):
+    return {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+ARGUMENT = {float: "0.5", int: "2", str: "exact"}
+UNDECLARED = [
+    (command, option)
+    for command, (_, _, _, options) in COMMANDS.items()
+    for option in OPTIONS
+    if option not in options
+] + [("sparse-demo", "input")]
+
+
+class TestCommandTable:
+    """The table in cli.py is the only statement of what each command takes."""
+
+    @pytest.mark.parametrize("command, option", UNDECLARED)
+    def test_undeclared_option_is_a_usage_error(self, command, option):
+        kind = OPTIONS[option][0] if option in OPTIONS else str
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{option}", ARGUMENT[kind]])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["arith-reg", "--gen", "subset:n=4", "--n", "4"],
+            ["arith-reg", "--n", "4"],
+            ["decompose", "--variant", "weak", "--growth", "exp-2"],
+            ["decompose", "--variant", "orthogonal", "--growth", "arith-reg"],
+        ],
+        ids=["arith-n-with-gen", "arith-n-with-default-gen", "weak-growth", "orthogonal-growth"],
+    )
+    def test_declared_but_unread_option_refused(self, argv, capsys):
+        assert main(argv) == 2
+        assert "precondition failure" in capsys.readouterr().err
+
+    def test_config_echoes_effective_options(self, tmp_path):
+        parsers = subparsers()
+        small = {"graph-reg": "complete:n=32", "weak-reg": "gnp:n=16,p=0.5"}
+        for command, (_, _, _, options) in COMMANDS.items():
+            argv = [command] + (["--gen", small[command]] if command in small else [])
+            code, out = run_cli(argv, tmp_path)
+            assert code == 0
+            report = json.loads(out.read_text())
+            assert report["schema_version"] == 2
+            config = report["config"]
+            assert set(config) == settable(parsers[command]) - {"out", "format"}
+            assert config["gen"] is not None
+            for option, default in options.items():
+                if option != "growth":
+                    assert config[option] == default
+
+    def test_strong_split_echoes_growth_preset(self, tmp_path):
+        code, out = run_cli(["decompose", "--gen", "random:n=4"], tmp_path)
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["growth"] == "arith-reg"
+
+    def test_settable_value_count(self):
+        assert sum(len(settable(p)) for p in subparsers().values()) == 50
+
+    def test_readme_flag_list_matches_parsers(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.MULTILINE))
+        assert set(rows) == set(COMMANDS)
+        for command, parser in subparsers().items():
+            common = {"gen", "seed", "out", "format"} | ({"input"} if command != "sparse-demo" else set())
+            assert set(re.findall(r"--([a-z]+)", rows[command])) | common == settable(parser)

@@ -264,6 +264,11 @@ class TestStagedContract:
                 g = rng.uniform(-1.0, 1.0, 16)
                 assert len(stages_of(g, eps, 10**6)) <= math.floor(1 / eps**2) + 1
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 2.0])
+    def test_eps_outside_unit_interval_refused(self, stages_of, f, cap, eps):
+        with pytest.raises(PreconditionError, match=r"\(0, 1\]"):
+            stages_of(f, eps, cap)
+
 
 def unit_rows(rng, count, size):
     """``count`` random atoms of norm exactly 1, in general position."""

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from structrand import (
+    BudgetExceededError,
     F2Polynomial,
     Factor,
     FiniteProbabilitySpace,
@@ -122,3 +125,27 @@ class TestSpacesAndPolynomials:
         poly = F2Polynomial.from_monomials(5, [(3, 1), (0,), ()])
         obj = poly.to_json()
         assert obj["monomials"] == [[], [0], [1, 3]]
+
+
+TEXT_LOADERS = {
+    "subset": lambda path: load_subset(path, 4),
+    "edge list": load_edge_list,
+    "vector": load_vector_json,
+}
+# arbitrary bytes, and text over the characters the three formats are made of
+LOADER_INPUTS = st.binary(max_size=48) | st.text(
+    alphabet='0123456789abcdefx []{},:."\n-+eINaSviludomn_sz#\xff', max_size=48
+).map(str.encode)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=LOADER_INPUTS, loader=st.sampled_from(sorted(TEXT_LOADERS)))
+def test_fuzzed_text_input_loads_or_is_refused(tmp_path, raw, loader):
+    path = tmp_path / "input"
+    path.write_bytes(raw)
+    try:
+        TEXT_LOADERS[loader](path)
+    except PreconditionError:
+        pass
+    except BudgetExceededError as exc:  # an edge list naming a vertex past the graph cap
+        assert loader == "edge list" and "graph cap" in str(exc)
