@@ -36,7 +36,6 @@ from .factors import (
     FiniteProbabilitySpace,
     conditional_expectation,
     dyadic_interval_family,
-    energy_increment_step,
     interval_factor,
     level_set_factor,
     projection_norm,

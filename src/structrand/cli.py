@@ -100,10 +100,13 @@ def parse_gen(spec: str, kind: str) -> dict:
             raise PreconditionError(f"{name}: {key} must be {what} in [{low}, {high}]")
         if integer:
             params[key] = int(value)
-    if kind in ("cube", "subset") and params["n"] > MAX_CUBE_N:
-        raise BudgetExceededError(f"n = {params['n']} exceeds the cube cap {MAX_CUBE_N}")
-    if kind == "graph" and params["n"] > MAX_GRAPH_N:
-        raise BudgetExceededError(f"n = {params['n']} exceeds the graph cap {MAX_GRAPH_N}")
+    # refused before any input is allocated; the sparse cap is the cube's 2^n cells
+    key, cap, what = {
+        "graph": ("n", MAX_GRAPH_N, "graph"),
+        "sparse": ("N", 1 << MAX_CUBE_N, "sparse"),
+    }.get(kind, ("n", MAX_CUBE_N, "cube"))
+    if params[key] > cap:
+        raise BudgetExceededError(f"{key} = {params[key]} exceeds the {what} cap {cap}")
     params["name"] = name
     return params
 
@@ -449,6 +452,8 @@ def run(args) -> str:
     handler, label, gen, options = COMMANDS[args.command]
     if args.gen is None and vars(args).get("input") is None:
         args.gen = gen
+    if args.seed < 0:
+        raise PreconditionError(f"--seed must be non-negative, got {args.seed}")
     if "eps" in options and not 0 < args.eps <= 1:
         raise PreconditionError(f"--eps must lie in (0, 1], got {args.eps}")
     if "m" in options and args.m < 1:

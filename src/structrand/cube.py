@@ -144,11 +144,11 @@ def f2_matvec_table(mat) -> np.ndarray:
 
 def _canonical_monomials(monomials):
     # XOR semantics: a monomial appearing an even number of times cancels.
-    seen = {}
+    odd = {}
     for mono in monomials:
         key = tuple(sorted(set(int(v) for v in mono)))
-        seen[key] = not seen.get(key, False)
-    kept = [m for m, present in seen.items() if present]
+        odd[key] = not odd.get(key, False)
+    kept = [m for m, present in odd.items() if present]
     kept.sort(key=lambda m: (len(m), m))
     return tuple(kept)
 

@@ -111,6 +111,10 @@ class FactorFamily:
     def __getitem__(self, i) -> Factor:
         return self.members[i]
 
+    def projections(self, space, f) -> np.ndarray:
+        """||E(f | Y)||_2 for every member Y, in member order."""
+        return np.array([projection_norm(space, f, y) for y in self.members])
+
 
 def conditional_expectation(space: FiniteProbabilitySpace, f, factor: Factor):
     """Weighted atom averages of f, constant on each atom of the factor.
@@ -131,55 +135,55 @@ def projection_norm(space, f, factor) -> float:
     return space.l2(conditional_expectation(space, f, factor))
 
 
-def _worst_projection(space, f, family: FactorFamily) -> float:
-    """Largest projection norm of f onto a member of the family (0 if empty)."""
-    return max((projection_norm(space, f, y) for y in family.members), default=0.0)
-
-
-def energy_increment_step(space, f, base: Factor, family: FactorFamily, eps: float):
-    """Index of the family member whose projection of the residual is largest,
-    provided it exceeds eps (else None); joining it raises the energy of
-    E(f | base) by at least eps^2."""
-    if not 0 < eps <= 1:
-        raise PreconditionError("eps must lie in (0, 1]")
-    residual = np.asarray(f, dtype=float) - conditional_expectation(space, f, base)
-    best_idx, best_norm = None, 0.0
-    for i, member in enumerate(family.members):
-        level = projection_norm(space, residual, member)
-        if level > best_norm:
-            best_idx, best_norm = i, level
-    if best_idx is None or best_norm <= eps + EPS_TOL:
-        return None
-    return best_idx
+def majorant_level(space, nu, eta, factor, members) -> float:
+    """||E(nu | factor)||_inf, raising MajorantViolationError naming the stock
+    members behind the factor when it exceeds 1 + eta."""
+    level = space.linf(conditional_expectation(space, nu, factor))
+    if level > 1.0 + eta + EPS_TOL:
+        message = f"majorant conditional expectation reaches {level:.6f} > 1 + {eta}"
+        raise MajorantViolationError(message, members=members, linf=level)
+    return level
 
 
 class Refinement:
     """A factor refined by joining stock members, with f_str = E(f | factor);
     ``kept_factor`` and ``kept_f_str`` hold the committed stages, which the
-    current stage refines further.  ``factor_hook`` sees every factor used."""
+    current stage refines further.  Under a majorant (nu, eta) every factor
+    used is checked by ``majorant_level``, which caps the energy by
+    (1 + eta)^2; ``majorant_linf`` is the largest level found."""
 
-    def __init__(self, space, f, family, factor, *, energy_cap=1.0, factor_hook=None):
-        self.space, self.f, self.family = space, f, family
-        self.energy_cap = energy_cap
-        self.factor_hook = factor_hook or (lambda factor, members: None)
-        self.factor_hook(factor, ())
-        self.factor, self.f_str = factor, conditional_expectation(space, f, factor)
+    def __init__(self, space, f, family, factor, majorant=None):
+        self.space, self.f, self.family, self.majorant = space, f, family, majorant
+        self.energy_cap = 1.0 if majorant is None else (1.0 + majorant[1]) ** 2
+        self.factor, self.majorant_linf = factor, None
+        self._check_majorant(())
+        self.f_str = conditional_expectation(space, f, factor)
         self.keep()
+
+    def _check_majorant(self, members):
+        if self.majorant is not None:
+            level = majorant_level(self.space, *self.majorant, self.factor, members)
+            self.majorant_linf = max(level, self.majorant_linf or 0.0)
+
+    def _best(self, threshold):
+        """The member f - f_str projects onto furthest (lowest on ties) if that
+        projection exceeds ``threshold``, else None; ``levels`` keeps the scan."""
+        self.levels = self.family.projections(self.space, self.f - self.f_str)
+        if self.levels.size and self.levels.max() > threshold + EPS_TOL:
+            return int(np.argmax(self.levels))
+        return None
 
     def grow(self, threshold):
         """Join the member the residual projects onto furthest while that
         projection exceeds ``threshold``; returns (stage record fields,
         energy gained by the stage)."""
         budget = _iteration_budget(threshold, self.energy_cap)
-        while True:
-            idx = energy_increment_step(self.space, self.f, self.factor, self.family, threshold)
-            if idx is None:
-                break
+        while (idx := self._best(threshold)) is not None:
             if len(self.members) >= budget:
                 raise CertificateError("energy argument violated: join budget exceeded")
             self.members.append(idx)
             self.factor = self.factor.join(self.family[idx])
-            self.factor_hook(self.factor, tuple(self.members))
+            self._check_majorant(tuple(self.members))
             self.f_str = conditional_expectation(self.space, self.f, self.factor)
             energy = self.space.l2(self.f_str) ** 2
             if energy > self.energy_cap + EPS_TOL:
@@ -192,7 +196,7 @@ class Refinement:
         return {"joins": len(members), "energy_gain": gain, "members": members}, gain
 
     def clears(self, threshold) -> bool:
-        return _worst_projection(self.space, self.f - self.f_str, self.family) > threshold + EPS_TOL
+        return self._best(threshold) is not None
 
     def keep(self):
         self.kept_factor, self.kept_f_str = self.factor, self.f_str
@@ -282,7 +286,7 @@ class FactorDecomposition:
             raise CertificateError("f_str is not E(f | factor)")
         if space.l2(self.f_err) > self.error_norm + EPS_TOL:
             raise CertificateError("f_err exceeds the certified bound")
-        worst = _worst_projection(space, self.f_psd, family)
+        worst = float(family.projections(space, self.f_psd).max(initial=0.0))
         if worst > self.pseudorandomness_eps + EPS_TOL:
             raise CertificateError(
                 f"f_psd projects at {worst}, above {self.pseudorandomness_eps}"
@@ -296,9 +300,7 @@ def strong_factor_decompose(
     eps: float,
     growth: GrowthFunction,
     *,
-    sparse: bool = False,
-    energy_cap: float = 1.0,
-    factor_hook=None,
+    majorant=None,
     complexity_cap: int = 10**6,
 ) -> FactorDecomposition:
     """Three-part factor split with growth-controlled pseudorandomness.
@@ -307,14 +309,13 @@ def strong_factor_decompose(
     M_0 = 1, M_i = F(M_{i-1})^2 until a stage gains at most eps^2 of energy;
     f_str is the conditional expectation before that stage, f_err the gain of
     the stage (norm <= eps), f_psd the final residual, 1/F(M)-pseudorandom
-    with M the reported sequence value.  Requires F(M) >= 2M.
+    with M the reported sequence value.  Requires F(M) >= 2M, and ||f||_2 <= 1
+    unless a majorant (nu, eta) is given (see ``Refinement``).
     """
     f = np.asarray(f, dtype=float)
-    if not sparse and space.l2(f) > 1.0 + EPS_TOL:
-        raise PreconditionError("||f||_2 must be at most 1 (dense mode)")
-    refinement = Refinement(
-        space, f, family, Factor.trivial(space.size), energy_cap=energy_cap, factor_hook=factor_hook
-    )
+    if majorant is None and space.l2(f) > 1.0 + EPS_TOL:
+        raise PreconditionError("||f||_2 must be at most 1 without a majorant")
+    refinement = Refinement(space, f, family, Factor.trivial(space.size), majorant)
 
     def doubling(m):
         value = growth(m)
@@ -328,22 +329,23 @@ def strong_factor_decompose(
         lambda width: width * width,
         refinement,
         complexity_cap=complexity_cap,
-        energy_cap=energy_cap,
+        energy_cap=refinement.energy_cap,
     )
-    f_psd = f - refinement.f_str
     return FactorDecomposition(
         factor=refinement.kept_factor,
         member_indices=[i for s in stages[:-1] for i in s["members"]],
         f_str=refinement.kept_f_str,
-        f_psd=f_psd,
+        f_psd=f - refinement.f_str,
         f_err=refinement.f_str - refinement.kept_f_str,
         growth_m=growth_m,
         complexity=sum(s["joins"] for s in stages[:-1]),
         pseudorandomness_eps=threshold,
-        pseudo_found=_worst_projection(space, f_psd, family),
+        # the scan that ended the last stage ran on this same residual
+        pseudo_found=float(refinement.levels.max(initial=0.0)),
         error_norm=eps,
         stage_index=len(stages),
         stages=stages,
+        majorant_linf=refinement.majorant_linf,
     )
 
 
@@ -359,11 +361,11 @@ def sparse_decompose(
 ) -> FactorDecomposition:
     """Structure theorem under a pseudorandom majorant instead of boundedness.
 
-    Requires 0 <= f <= nu pointwise.  Every factor actually conditioned on is
-    checked to satisfy ||E(nu | Y)||_inf <= 1 + eta (raising
-    MajorantViolationError naming the factor otherwise), which caps projected
-    energies by (1 + eta)^2 and gives the dense conclusions back: f_str lands
-    in [0, 1 + eta] pointwise and keeps the integral of f exactly.
+    Requires 0 <= f <= nu pointwise.  Every stock member and every factor
+    actually conditioned on is checked to satisfy ||E(nu | Y)||_inf <= 1 + eta
+    (raising MajorantViolationError naming the factor otherwise), which caps
+    projected energies by (1 + eta)^2 and gives the dense conclusions back:
+    f_str lands in [0, 1 + eta] pointwise and keeps the integral of f.
     """
     f = np.asarray(f, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -373,41 +375,16 @@ def sparse_decompose(
         raise PreconditionError("the majorant must be non-negative")
     if np.any((f < -1e-12) | (f > nu + 1e-9)):
         raise PreconditionError("need 0 <= f <= nu pointwise")
-    seen = {}
-
-    def check(factor, members):
-        key = factor.labels.tobytes()
-        if key in seen:
-            return
-        level = space.linf(conditional_expectation(space, nu, factor))
-        seen[key] = level
-        if level > 1.0 + eta + EPS_TOL:
-            raise MajorantViolationError(
-                f"majorant conditional expectation reaches {level:.6f} > 1 + {eta}",
-                members=members,
-                linf=level,
-            )
-
     # scan the stock up front so violations surface before any work happens
-    for i, member in enumerate(family.members):
-        check(member, (i,))
-
-    cap = (1.0 + eta) ** 2
-    dec = strong_factor_decompose(
-        space,
-        f,
-        family,
-        eps,
-        growth,
-        sparse=True,
-        energy_cap=cap,
-        factor_hook=check,
-        **kwargs,
-    )
-    dec.majorant_linf = max(seen.values(), default=0.0)
+    stock = [majorant_level(space, nu, eta, y, (i,)) for i, y in enumerate(family.members)]
+    dec = strong_factor_decompose(space, f, family, eps, growth, majorant=(nu, eta), **kwargs)
+    dec.majorant_linf = max(stock + [dec.majorant_linf])
     if np.any(dec.f_str < -1e-9) or np.any(dec.f_str > 1.0 + eta + 1e-9):
         raise CertificateError("f_str escaped [0, 1 + eta]")
-    if abs(space.integral(dec.f_str) - space.integral(f)) > 1e-12:
+    # E(f | Y) keeps the integral exactly; each of the two length-N weighted
+    # sums compared here rounds off by up to about N * 2^-53 * E|f|
+    mean_tol = max(1e-12, 2 * space.size * 2.0**-53 * space.l1(f))
+    if abs(space.integral(dec.f_str) - space.integral(f)) > mean_tol:
         raise CertificateError("conditional expectation failed to keep the mean")
     return dec
 

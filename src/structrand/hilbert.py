@@ -140,8 +140,7 @@ class GrowthFunction:
 
     Wraps a map F on positive integers with F(M) > M enforced at every query
     (raising otherwise).  Presets cover the linear, exponential and
-    eps**(-1/4) * 2**M families; arbitrary finite tables are supported with a
-    declared extension rule.
+    eps**(-1/4) * 2**M families.
     """
 
     def __init__(self, name, fn):
@@ -181,21 +180,6 @@ class GrowthFunction:
             raise PreconditionError("eps must lie in (0, 1]")
         scale = eps ** (-0.25)
         return cls(f"arith-reg({eps:g})", lambda m: scale * 2.0**m)
-
-    @classmethod
-    def from_table(cls, table, extension="error"):
-        table = {int(k): float(v) for k, v in table.items()}
-
-        def fn(m):
-            if m in table:
-                return table[m]
-            if extension == "double":
-                return 2.0 * m
-            if extension == "exp-2":
-                return 2.0**m
-            raise PreconditionError(f"growth table has no entry for M={m}")
-
-        return cls(f"table[{len(table)};{extension}]", fn)
 
 
 @dataclass

@@ -177,26 +177,3 @@ def partition_to_dot(partition) -> str:
         lines.append(f'  p{i} -- p{j} [label="{rec.density:.3f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# --- probability spaces ------------------------------------------------------
-
-
-def space_to_json(space) -> dict:
-    return {"weights": [float(w) for w in space.weights]}
-
-
-def space_from_json(obj):
-    from .factors import FiniteProbabilitySpace
-
-    return FiniteProbabilitySpace(obj["weights"])
-
-
-def factor_to_json(factor) -> dict:
-    return {"labels": [int(v) for v in factor.labels]}
-
-
-def factor_from_json(obj):
-    from .factors import Factor
-
-    return Factor(obj["labels"])

@@ -227,3 +227,49 @@ def naive_staged_split(atoms, f, eps, growth):
         if drop <= eps * eps + 1e-12:
             return stages
         residual, m_prev = left, math.ceil(growth(m_prev) - 1e-9)
+
+
+def naive_staged_factor_split(weights, members, f, eps, growth):
+    """Stage records and final pseudorandomness of the staged factor split,
+    by plain loops over naive_conditional_expectation.
+
+    Stage i works at threshold 1/W_i, W_i = ceil(growth(M_{i-1})), M_0 = 1,
+    M_i = W_i^2.  It repeatedly joins onto the factor the member (a label
+    list) that f - E(f | factor) projects onto furthest (lowest index on
+    ties), while that projection norm exceeds the threshold by 1e-9.  The
+    first stage gaining at most eps^2 of energy ends the run.  Needs two or
+    more members.  Returns (records, found): each record holds the stage's
+    member indices, its energy gain and the smallest lead of a joined member
+    over the runner-up projection; found is the largest projection of
+    f - E(f | final factor) onto a member.
+    """
+    def l2(g):
+        return math.sqrt(math.fsum(w * v * v for w, v in zip(weights, g)))
+
+    def project(g, labels):
+        return naive_conditional_expectation(weights, g, labels)
+
+    def projections(labels):
+        residual = [float(a) - float(b) for a, b in zip(f, project(f, labels))]
+        return [l2(project(residual, member)) for member in members]
+
+    labels, m_prev, stages = [0] * len(f), 1, []
+    while True:
+        width = math.ceil(growth(m_prev) - 1e-9)
+        energy_before = l2(project(f, labels)) ** 2
+        chosen, gap = [], math.inf
+        while True:
+            levels = projections(labels)
+            order = sorted(range(len(members)), key=lambda i: (-levels[i], i))
+            if levels[order[0]] <= 1.0 / width + 1e-9:
+                break
+            gap = min(gap, levels[order[0]] - levels[order[1]])
+            chosen.append(order[0])
+            ids = {}
+            pairs = zip(labels, members[order[0]])
+            labels = [ids.setdefault((int(a), int(b)), len(ids)) for a, b in pairs]
+        gain = l2(project(f, labels)) ** 2 - energy_before
+        stages.append({"members": chosen, "energy_gain": gain, "gap": gap})
+        if gain <= eps * eps + 1e-12:
+            return stages, max(levels)
+        m_prev = width * width

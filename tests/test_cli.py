@@ -217,6 +217,14 @@ class TestSparseDemoCommand:
         assert payload["mean_preserved_error"] <= 1e-12
         assert payload["majorant_linf"] <= 1.2 + 1e-9
 
+    def test_mean_kept_at_two_million_points(self, tmp_path):
+        # |E f_str - E f| reaches 1.0e-12 here from rounding in the two
+        # length-N sums alone, which an absolute 1e-12 tolerance refused
+        code, out = run_cli(["sparse-demo", "--gen", "sparse:N=2097152", "--seed", "5"], tmp_path)
+        assert code == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["mean_preserved_error"] <= 2 * 2097152 * 2.0**-53 * payload["f_mean"]
+
 
 class TestExitCodes:
     def test_precondition_failure(self, tmp_path, capsys):
@@ -394,6 +402,17 @@ class TestExitCodes:
         # refused before the n x n matrix is allocated
         assert main(argv) == 4
         assert "graph cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["sparse:N=16777217", "sparse:N=1000000000000"])
+    def test_sparse_cap(self, spec, capsys):
+        # refused before the N-point majorant is allocated
+        assert main(["sparse-demo", "--gen", spec]) == 4
+        assert "sparse cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_negative_seed(self, command, capsys):
+        assert main([command, "--seed", "-1"]) == 2
+        assert "--seed must be non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("vertex", [4096, 3000000])
     def test_edge_list_past_graph_cap(self, tmp_path, capsys, vertex):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structrand import (
+    CertificateError,
     Factor,
     FactorFamily,
     FiniteProbabilitySpace,
@@ -12,7 +15,6 @@ from structrand import (
     PreconditionError,
     conditional_expectation,
     dyadic_interval_family,
-    energy_increment_step,
     interval_factor,
     level_set_factor,
     projection_norm,
@@ -21,7 +23,7 @@ from structrand import (
     weak_factor_decompose,
 )
 
-from oracles import naive_conditional_expectation
+from oracles import naive_conditional_expectation, naive_staged_factor_split
 
 
 def random_factor(rng, n, atoms):
@@ -161,6 +163,8 @@ class TestFactorJoin:
 
 
 class TestEnergyIncrement:
+    """The first join of a weak factor split is one energy-increment step."""
+
     def test_measurable_function_gives_none(self):
         rng = np.random.default_rng(11)
         space = FiniteProbabilitySpace.uniform(32)
@@ -168,7 +172,7 @@ class TestEnergyIncrement:
         family = FactorFamily([random_factor(rng, 32, 2) for _ in range(5)])
         f = conditional_expectation(space, rng.standard_normal(32), y)
         f /= max(space.l2(f), 1.0)
-        assert energy_increment_step(space, f, y, family, 0.05) is None
+        assert weak_factor_decompose(space, f, y, family, 0.05).member_indices == []
 
     def test_increment_guarantee(self):
         rng = np.random.default_rng(12)
@@ -178,8 +182,9 @@ class TestEnergyIncrement:
         f = (member.labels == 0).astype(float)
         f /= space.l2(f)
         base = Factor.trivial(64)
-        idx = energy_increment_step(space, f, base, family, 0.05)
-        assert idx is not None
+        split = weak_factor_decompose(space, f, base, family, 0.05)
+        assert split.member_indices
+        idx = split.member_indices[0]
         joined = base.join(family[idx])
         gain = (
             projection_norm(space, f, joined) ** 2
@@ -193,7 +198,7 @@ class TestEnergyIncrement:
         f = rng.standard_normal(32)
         f /= space.l2(f)
         family = FactorFamily([random_factor(rng, 32, 2) for _ in range(4)])
-        assert energy_increment_step(space, f, Factor.trivial(32), family, 1.0) is None
+        assert weak_factor_decompose(space, f, Factor.trivial(32), family, 1.0).member_indices == []
 
 
 class TestWeakFactorDecompose:
@@ -285,6 +290,26 @@ class TestStrongFactorDecompose:
         g_str = conditional_expectation(space, g, dec.factor)
         assert np.all(np.abs(g_str) <= dec.f_str + 1e-12)
 
+    def test_stages_match_plain_loop_oracle(self):
+        # seeded so that two stages join members, and every joined member
+        # leads the runner-up projection by more than 0.03
+        rng = np.random.default_rng(1)
+        space = FiniteProbabilitySpace.uniform(48)
+        labels = [rng.integers(0, 2, 48) for _ in range(6)]
+        f = 0.6 * (labels[0] - 0.5) + 0.3 * (labels[1] - 0.5) + 0.15 * rng.standard_normal(48)
+        f /= space.l2(f)
+        expected, found = naive_staged_factor_split(
+            [1 / 48] * 48, labels, f, 0.1, lambda m: 2 * m + 1
+        )
+        assert sum(1 for stage in expected if stage["members"]) >= 2
+        assert min(stage["gap"] for stage in expected) > 0.03
+        family = FactorFamily([Factor(lab) for lab in labels])
+        dec = strong_factor_decompose(space, f, family, 0.1, GrowthFunction.linear(2, offset=1))
+        assert [s["members"] for s in dec.stages] == [s["members"] for s in expected]
+        for got, stage in zip(dec.stages, expected):
+            assert got["energy_gain"] == pytest.approx(stage["energy_gain"], abs=1e-9)
+        assert dec.pseudo_found == pytest.approx(found, abs=1e-9)
+
 
 class TestSparseDecompose:
     def _instance(self, seed, n_points=1 << 12):
@@ -348,6 +373,71 @@ class TestSparseDecompose:
             )
         assert err.value.members == (0,)
         assert err.value.linf == pytest.approx(8.0)
+
+    def test_majorant_violation_from_join(self):
+        # each stock member and the trivial factor see nu at most 1.1, but
+        # the join of the two members isolates [16, 32), where nu is 2.2
+        space = FiniteProbabilitySpace.uniform(64)
+        nu = np.zeros(64)
+        nu[16:32] = 2.2
+        family = FactorFamily([interval_factor(64, 0, 32), interval_factor(64, 16, 48)])
+        with pytest.raises(MajorantViolationError) as err:
+            sparse_decompose(
+                space, nu, nu, family, 0.3, GrowthFunction.linear(2, offset=1), eta=0.2
+            )
+        assert err.value.members == (0, 1)
+        assert err.value.linf == pytest.approx(2.2)
+
+    def test_mean_shift_rejected(self, monkeypatch):
+        import structrand.factors as factors
+
+        space, f, nu, family = self._instance(1)
+        original = factors.strong_factor_decompose
+
+        def shifted(*args, **kwargs):
+            dec = original(*args, **kwargs)
+            dec.f_str = dec.f_str + 1e-6
+            return dec
+
+        monkeypatch.setattr(factors, "strong_factor_decompose", shifted)
+        with pytest.raises(CertificateError, match="keep the mean"):
+            sparse_decompose(
+                space, f, nu, family, 0.3, GrowthFunction.linear(2, offset=1), eta=0.2
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([0.2, 0.3]))
+    def test_verify_certifies_sparse_split(self, seed, eps):
+        # nu = 2 on half of every 16-point block, so E(nu | Y) = 1 on every
+        # factor built from the stock; f keeps most of nu on one half and
+        # little on the other, so the first stage always joins a member
+        rng = np.random.default_rng(seed)
+        space = FiniteProbabilitySpace.uniform(256)
+        family = dyadic_interval_family(256, 16)
+        nu = 2.0 * (rng.permuted(np.tile(np.arange(16) < 8, (16, 1)), axis=1).ravel())
+        halves = np.repeat(rng.permutation([0.0, 1.0]), 8) + 0.15 * rng.standard_normal(16)
+        f = nu * (rng.random(256) < np.repeat(np.clip(halves, 0, 1), 16))
+        eta = float(rng.uniform(0.0, 0.5))
+        dec = sparse_decompose(space, f, nu, family, eps, GrowthFunction.linear(2, offset=1), eta)
+        assert dec.complexity >= 1
+        dec.verify(space, f, family)
+        assert dec.majorant_linf == pytest.approx(1.0)
+        # 1_Y - E(1_Y | factor) for the member least seen by the factor is
+        # invisible to E(. | factor) but not to that member
+        shifts = []
+        for member in family.members:
+            g = member.labels.astype(float)
+            delta = g - conditional_expectation(space, g, dec.factor)
+            seen = conditional_expectation(space, delta, member)
+            shifts.append((space.l2(seen), member, delta, seen))
+        size, member, delta, seen = max(shifts, key=lambda shift: shift[0])
+        if size <= 1e-6:  # the factor refines every member
+            return
+        aligned = space.inner(conditional_expectation(space, dec.f_psd, member), seen) >= 0
+        delta = (1.0 if aligned else -1.0) * 2 * dec.pseudorandomness_eps * delta / size
+        dec.f_psd = dec.f_psd + delta
+        with pytest.raises(CertificateError, match="projects at"):
+            dec.verify(space, f + delta, family)
 
 
 class TestLevelSetFactor:

@@ -367,15 +367,6 @@ class TestGrowthFunction:
         arith = GrowthFunction.arithmetic_regularity(0.25)
         assert arith(1) == pytest.approx(0.25**-0.25 * 2)
 
-    def test_table_with_extension(self):
-        g = GrowthFunction.from_table({1: 4, 4: 9}, extension="double")
-        assert g(1) == 4
-        assert g(4) == 9
-        assert g(7) == 14
-        strict = GrowthFunction.from_table({1: 4})
-        with pytest.raises(PreconditionError):
-            strict(2)
-
 
 class TestDenseAtomSet:
     def test_rejects_long_atoms(self):

@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 from structrand import (
     BudgetExceededError,
     F2Polynomial,
-    Factor,
-    FiniteProbabilitySpace,
     PreconditionError,
     gnp_random_graph,
     szemeredi_regularize,
 )
 from structrand.io import (
-    factor_from_json,
-    factor_to_json,
     load_adjacency_binary,
     load_edge_list,
     load_subset,
@@ -28,8 +24,6 @@ from structrand.io import (
     save_subset_hex,
     save_vector_binary,
     save_vector_json,
-    space_from_json,
-    space_to_json,
     subset_from_hex,
     subset_to_hex,
     vector_from_json,
@@ -112,15 +106,6 @@ class TestGraphFormats:
 
 
 class TestSpacesAndPolynomials:
-    def test_space_roundtrip(self):
-        space = FiniteProbabilitySpace(np.array([0.25, 0.25, 0.5]))
-        back = space_from_json(space_to_json(space))
-        assert np.array_equal(back.weights, space.weights)
-
-    def test_factor_roundtrip(self):
-        factor = Factor([3, 3, 1, 0, 1])
-        assert factor_from_json(factor_to_json(factor)) == factor
-
     def test_polynomial_sorted_monomials(self):
         poly = F2Polynomial.from_monomials(5, [(3, 1), (0,), ()])
         obj = poly.to_json()
