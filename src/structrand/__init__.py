@@ -67,7 +67,6 @@ from .hilbert import (
     Decomposition,
     DenseAtomSet,
     GrowthFunction,
-    energy_decrement_step,
     inner_product,
     norm,
     orthogonal_weak_decompose,

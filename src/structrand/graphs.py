@@ -82,9 +82,6 @@ class CutAtom:
         vb[sorted(self.b)] = 1.0
         return np.outer(va, vb)
 
-    def norm(self) -> float:
-        return math.sqrt(len(self.a) * len(self.b)) / self.n
-
     def to_json(self):
         return {"A": sorted(self.a), "B": sorted(self.b)}
 
@@ -176,36 +173,27 @@ class CutAtomSet(AtomSet):
             found[atom] = ip
         return sorted(found.items(), key=lambda kv: -abs(kv[1]))
 
-    def candidates(self, f, eps):
-        f = np.asarray(f, dtype=float)
-        thresh = max(eps - EPS_TOL, MIN_CORR)
-        if self.exact:
-            masks, cols, strength = self._exhaustive(f)
-            order = np.argsort(-strength)
-            out = []
-            for idx in order[: self.max_candidates]:
-                if strength[idx] < thresh:
-                    break
-                value, b_bool = _best_b_given_cols(cols[idx])
-                atom = self._atom(masks[idx].astype(bool), b_bool)
-                out.append((atom, value / (self.n * self.n)))
-            return out
-        pool = self._heuristic_pool(f)
-        return [(a, ip) for a, ip in pool[: self.max_candidates] if abs(ip) >= thresh]
-
     def scan(self, f):
         f = np.asarray(f, dtype=float)
         if self.exact:
             masks, cols, strength = self._exhaustive(f)
-            idx = int(np.argmax(strength))
-            value, b_bool = _best_b_given_cols(cols[idx])
-            atom = self._atom(masks[idx].astype(bool), b_bool)
-            level = float(strength[idx])
-            return CorrelationScan(lower=level, upper=level, exact=True, witness=atom)
-        pool = self._heuristic_pool(f)
-        lower, witness = (abs(pool[0][1]), pool[0][0]) if pool else (0.0, None)
-        upper = float(np.abs(f).mean())  # |<f, 1_{AxB}>| <= mean |f| always
-        return CorrelationScan(lower=lower, upper=upper, exact=False, witness=witness)
+            order = np.argsort(-strength)[: self.max_candidates]
+            ranking = []
+            for idx in order[strength[order] >= MIN_CORR]:
+                value, b_bool = _best_b_given_cols(cols[idx])
+                atom = self._atom(masks[idx].astype(bool), b_bool)
+                ranking.append((atom, value / (self.n * self.n)))
+            level = float(strength[order[0]])
+            upper, exact = level, True
+        else:
+            ranking = self._heuristic_pool(f)[: self.max_candidates]
+            level = abs(ranking[0][1]) if ranking else 0.0
+            upper, exact = float(np.abs(f).mean()), False  # |<f, 1_{AxB}>| <= mean |f| always
+        witness = ranking[0][0] if ranking else None
+        return CorrelationScan(level, upper, exact, witness, ranking)
+
+    # defined on the class itself so that per-class wrappers can replace it
+    candidates = AtomSet.candidates
 
 
 # --- regular pairs -----------------------------------------------------------
@@ -525,9 +513,4 @@ def weak_regularize(g, eps: float, seed: int = 0):
         raise PreconditionError("eps must lie in (0, 1]")
     atoms = CutAtomSet(g.shape[0], seed=seed)
     dec = weak_decompose(g, atoms, eps)
-    scan = CorrelationScan(
-        lower=dec.pseudo_found, upper=dec.pseudo_found, exact=dec.pseudo_exact
-    )
-    if not dec.pseudo_exact:
-        scan.upper = float(np.abs(dec.f_psd).mean())
-    return list(dec.atoms), dec.f_psd, scan
+    return list(dec.atoms), dec.f_psd, dec.scan

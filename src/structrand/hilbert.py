@@ -52,28 +52,32 @@ class CorrelationScan:
 
     ``lower`` is the best |<f, v>| actually found, ``upper`` a certified upper
     bound over the whole family.  For exact scans the two coincide.
+    ``ranking`` holds the (key, <f, atom>) pairs the search produced, best
+    first and at most the family's ``max_candidates`` of them.
     """
 
     lower: float
     upper: float
     exact: bool
     witness: object = None
+    ranking: list = field(default_factory=list)
 
-    @property
-    def value(self) -> float:
-        return self.lower
+    def candidates(self, eps: float) -> list:
+        """The ranked pairs with |<f, atom>| >= eps - EPS_TOL, best first."""
+        thresh = max(eps - EPS_TOL, MIN_CORR)
+        return [(key, ip) for key, ip in self.ranking if abs(ip) >= thresh]
 
 
 class AtomSet:
     """A finite family of structured directions, each of norm at most 1.
 
-    Subclasses provide ``atom_vector`` (dense values of one atom) and
-    ``correlations`` (the table of <f, atom> over integer keys), which
-    ``candidates`` (atoms correlating with f above a threshold, strongest
-    first) and ``scan`` (the pseudorandomness level of f against the family)
-    rank; families without such a table override those two instead.
-    ``exact`` declares whether an empty search certifies that no violating
-    atom exists; heuristic sets must leave it False.
+    ``scan`` is the one search a family implements: it returns the
+    pseudorandomness level of f against the family together with the atoms
+    correlating with f most strongly, and ``candidates`` filters that ranking.
+    Families with a correlation table (``correlations``, the <f, atom> over
+    integer keys) inherit ``scan``; ``atom_vector`` gives the dense values of
+    one atom.  ``exact`` declares whether an empty search certifies that no
+    violating atom exists; heuristic sets must leave it False.
     """
 
     exact: bool = True
@@ -89,17 +93,20 @@ class AtomSet:
 
     def candidates(self, f, eps: float) -> list:
         """(key, <f, atom>) pairs with |<f, atom>| >= eps - EPS_TOL, best first."""
-        corr = self.correlations(f)
-        thresh = max(eps - EPS_TOL, MIN_CORR)
-        idx = np.flatnonzero(np.abs(corr) >= thresh)
-        idx = idx[np.lexsort((idx, -np.abs(corr[idx])))]
-        return [(int(i), float(corr[i])) for i in idx[: self.max_candidates]]
+        return self.scan(f).candidates(eps)
 
     def scan(self, f) -> CorrelationScan:
         corr = self.correlations(f)
-        best = int(np.argmax(np.abs(corr)))
-        level = float(abs(corr[best]))
-        return CorrelationScan(lower=level, upper=level, exact=True, witness=best)
+        mags = np.abs(corr)
+        best = int(np.argmax(mags))
+        # rank by (-|c|, key) only entries from the k-th largest up: no full sort
+        k = min(self.max_candidates, mags.size)
+        floor = max(float(np.partition(mags, mags.size - k)[mags.size - k]), MIN_CORR)
+        idx = np.flatnonzero(mags >= floor)
+        idx = idx[np.lexsort((idx, -mags[idx]))][:k]
+        ranking = list(zip(idx.tolist(), corr[idx].tolist()))
+        level = float(mags[best])
+        return CorrelationScan(lower=level, upper=level, exact=True, witness=best, ranking=ranking)
 
     def key_json(self, key):
         """JSON-serializable description of an atom key."""
@@ -109,8 +116,6 @@ class AtomSet:
 class DenseAtomSet(AtomSet):
     """Atoms held as rows of an explicit matrix; scans are exhaustive."""
 
-    exact = True
-
     def __init__(self, matrix, name="dense"):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
@@ -119,7 +124,6 @@ class DenseAtomSet(AtomSet):
         if np.any(sq > 1.0 + 1e-9):
             raise PreconditionError("atom norms must not exceed 1")
         self.matrix = matrix
-        self.atom_sq_norms = sq
         self.name = name
 
     def __len__(self):
@@ -176,8 +180,7 @@ class GrowthFunction:
 
     @classmethod
     def arithmetic_regularity(cls, eps):
-        if not 0 < eps <= 1:
-            raise PreconditionError("eps must lie in (0, 1]")
+        _check_eps(eps)
         scale = eps ** (-0.25)
         return cls(f"arith-reg({eps:g})", lambda m: scale * 2.0**m)
 
@@ -189,8 +192,8 @@ class Decomposition:
     ``atoms`` lists (key, coefficient) pairs in selection order;
     ``complexity_m`` and ``coeff_bound_k`` are the certified caps on their
     number and magnitude.  ``pseudorandomness_eps`` is the level claimed for
-    f_psd (definitive only when ``pseudo_exact``); ``error_norm`` bounds
-    ||f_err||.
+    f_psd and ``scan`` the search of f_psd that ended the split (definitive
+    when exact); ``error_norm`` bounds ||f_err||.
     """
 
     atoms: list
@@ -200,13 +203,20 @@ class Decomposition:
     complexity_m: int
     coeff_bound_k: float
     pseudorandomness_eps: float
-    pseudo_exact: bool
-    pseudo_found: float
+    scan: CorrelationScan
     error_norm: float
     iterations: int
     trace: list = field(default_factory=list)
     stages: list | None = None
     growth_m: int | None = None
+
+    @property
+    def pseudo_exact(self) -> bool:
+        return self.scan.exact
+
+    @property
+    def pseudo_found(self) -> float:
+        return self.scan.lower
 
     def reconstruct(self) -> np.ndarray:
         return self.f_str + self.f_psd + self.f_err
@@ -263,37 +273,17 @@ def _check_eps(eps):
         raise PreconditionError(f"eps must lie in (0, 1], got {eps}")
 
 
-def _check_unit_norm(f):
+def _unit_vector(f) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
     n = norm(f)
     if n > 1.0 + EPS_TOL:
         raise PreconditionError(f"||f|| = {n} exceeds 1")
-    return n
+    return f
 
 
 def _iteration_budget(eps, energy_cap=1.0):
     # floor(energy_cap/eps^2), guarded against float dust in 1/eps**2.
     return int(math.floor((energy_cap / (eps * eps)) * (1.0 + 1e-12) + 1e-12))
-
-
-def energy_decrement_step(f, atom_set: AtomSet, eps: float):
-    """One greedy step: the best-correlating atom and its projection weight.
-
-    Returns (key, c) with c = <f, v>/||v||^2 when some atom has
-    |<f, v>| >= eps, so that ||f - c v||^2 <= ||f||^2 - eps^2; returns None
-    when the scan finds no such atom.
-    """
-    _check_eps(eps)
-    _check_unit_norm(f)
-    found = atom_set.candidates(f, eps)
-    if not found:
-        return None
-    key, ip = found[0]
-    v = atom_set.atom_vector(key)
-    sq = inner_product(v, v)
-    c = ip / sq
-    if abs(c) > 1.0 / eps + EPS_TOL:
-        raise CertificateError("projection coefficient exceeds 1/eps")
-    return key, c
 
 
 def weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
@@ -304,29 +294,29 @@ def weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
     atoms with coefficients bounded by 1/eps, and f_psd is eps-pseudorandom
     (certified by the final scan, definitive for exact atom sets).
     """
-    f = np.asarray(f, dtype=float)
     _check_eps(eps)
-    _check_unit_norm(f)
+    f = _unit_vector(f)
     budget = _iteration_budget(eps)
     f_psd = f.copy()
     f_str = np.zeros_like(f)
     atoms = []
     trace = []
-    while True:
-        step = energy_decrement_step(f_psd, atom_set, eps)
-        if step is None:
-            break
+    scan = atom_set.scan(f_psd)
+    while found := scan.candidates(eps):
+        key, ip = found[0]
+        v = atom_set.atom_vector(key)
+        c = ip / inner_product(v, v)
+        if abs(c) > 1.0 / eps + EPS_TOL:
+            raise CertificateError("projection coefficient exceeds 1/eps")
         if len(atoms) >= budget:
             raise CertificateError("energy argument violated: budget exceeded")
-        key, c = step
-        v = atom_set.atom_vector(key)
         f_psd = f_psd - c * v
         f_str = f_str + c * v
         atoms.append((key, c))
         trace.append(
             {"atom": atom_set.key_json(key), "coefficient": c, "energy": inner_product(f_psd, f_psd)}
         )
-    final = atom_set.scan(f_psd)
+        scan = atom_set.scan(f_psd)
     return Decomposition(
         atoms=atoms,
         f_str=f_str,
@@ -335,8 +325,7 @@ def weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
         complexity_m=budget,
         coeff_bound_k=1.0 / eps,
         pseudorandomness_eps=eps,
-        pseudo_exact=final.exact,
-        pseudo_found=final.lower,
+        scan=scan,
         error_norm=0.0,
         iterations=len(atoms),
         trace=trace,
@@ -353,12 +342,14 @@ class Span:
     """A stage's projection f_str of ``target`` onto the span of the atoms it
     selects, whose orthonormal basis is the rows of ``basis``; f_psd is
     target - f_str, and ``atoms`` expands f_str over the raw atoms.  Each stage
-    projects the residual of the committed ones (``kept_str``, ``kept_atoms``)."""
+    projects the residual of the committed ones (``kept_str``, ``kept_atoms``).
+    ``last`` is the scan of f_psd, run again only when f_psd moves."""
 
     def __init__(self, f, atom_set: AtomSet, complexity_cap=math.inf):
         self.atom_set, self.complexity_cap = atom_set, complexity_cap
         self.kept_str, self.kept_atoms = np.zeros_like(f), []
         self.f_str, self.f_psd, self.atoms = np.zeros_like(f), np.array(f, dtype=float), []
+        self.last = atom_set.scan(self.f_psd)
         self.keep()
 
     def grow(self, threshold):
@@ -384,7 +375,7 @@ class Span:
     def _select(self, threshold) -> bool:
         """Add the first candidate outside the span; False when there is none."""
         atom_set, size = self.atom_set, self.target.size
-        for key, _ in atom_set.candidates(self.f_psd, threshold):
+        for key, _ in self.last.candidates(threshold):
             v = np.asarray(atom_set.atom_vector(key), dtype=float).ravel()
             u = v - self.basis.T @ (self.basis @ v / size)
             u = u - self.basis.T @ (self.basis @ u / size)  # a second pass keeps it tight
@@ -410,10 +401,11 @@ class Span:
         self.f_psd = self.target - self.f_str
         energy = inner_product(self.f_psd, self.f_psd)
         self.trace.append({"atom": atom_set.key_json(key), "energy": energy})
+        self.last = atom_set.scan(self.f_psd)
         return True
 
     def clears(self, threshold) -> bool:
-        return bool(self.atom_set.candidates(self.f_psd, threshold))
+        return bool(self.last.candidates(threshold))
 
     def keep(self):
         """Commit the stage and restart on its residual with an empty span."""
@@ -434,12 +426,10 @@ def orthogonal_weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition
     (to arithmetic tolerance).  Coefficients over the raw atoms are recovered
     from the Gram system and recorded with their empirical bound.
     """
-    f = np.asarray(f, dtype=float)
     _check_eps(eps)
-    _check_unit_norm(f)
+    f = _unit_vector(f)
     span = Span(f, atom_set)
     span.grow(eps)
-    final = atom_set.scan(span.f_psd)
     return Decomposition(
         atoms=span.atoms,
         f_str=span.f_str,
@@ -448,8 +438,7 @@ def orthogonal_weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition
         complexity_m=_iteration_budget(eps),
         coeff_bound_k=max((abs(c) for _, c in span.atoms), default=0.0),
         pseudorandomness_eps=eps,
-        pseudo_exact=final.exact,
-        pseudo_found=final.lower,
+        scan=span.last,
         error_norm=0.0,
         iterations=len(span.atoms),
         trace=span.trace,
@@ -471,8 +460,7 @@ def run_stages(eps, growth, schedule, structure, *, complexity_cap, energy_cap=1
     floor(energy_cap/eps^2) + 1 stages.
     Returns (stage records, the last threshold, the M before it).
     """
-    if not 0 < eps <= 1:
-        raise PreconditionError(f"eps must lie in (0, 1], got {eps}")
+    _check_eps(eps)
     m_prev = 1
     stages = []
     started = time.monotonic()
@@ -530,13 +518,11 @@ def strong_decompose(
     (its scan finds nothing), but selecting an atom there raises
     BudgetExceededError, as does exceeding the stage wall clock.
     """
-    f = np.asarray(f, dtype=float)
-    _check_unit_norm(f)
+    f = _unit_vector(f)
     span = Span(f, atom_set, complexity_cap)
     stages, threshold, growth_m = run_stages(
         eps, growth, lambda width: width, span, complexity_cap=complexity_cap
     )
-    final = atom_set.scan(span.f_psd)
     return Decomposition(
         atoms=list(span.kept_atoms),
         f_str=span.kept_str,
@@ -545,8 +531,7 @@ def strong_decompose(
         complexity_m=max(len(span.kept_atoms), 1),
         coeff_bound_k=max((abs(c) for _, c in span.kept_atoms), default=0.0),
         pseudorandomness_eps=threshold,
-        pseudo_exact=final.exact,
-        pseudo_found=final.lower,
+        scan=span.last,
         error_norm=eps,
         iterations=sum(s["atoms"] for s in stages),
         trace=span.trace,

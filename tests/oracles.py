@@ -157,6 +157,17 @@ def naive_best_cut(f):
     return best
 
 
+def naive_ranked_candidates(atoms, f, eps, limit):
+    """(index, <f, atom>) for the atoms correlating with f at eps - 1e-9 or
+    more (and above 1e-12), strongest first, lowest index on ties, at most
+    ``limit`` of them; correlations are direct sums."""
+    floor = max(eps - 1e-9, 1e-12)
+    corr = [(i, naive_inner(f, atom)) for i, atom in enumerate(atoms)]
+    kept = [(i, c) for i, c in corr if abs(c) >= floor]
+    kept.sort(key=lambda pair: (-abs(pair[1]), pair[0]))
+    return kept[:limit]
+
+
 def naive_conditional_expectation(weights, f, labels):
     out = np.zeros(len(f))
     for atom in set(int(a) for a in labels):

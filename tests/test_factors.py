@@ -114,6 +114,24 @@ class TestConditionalExpectation:
         rhs = conditional_expectation(space, f, y1)
         assert space.l2(lhs - rhs) <= 1e-10
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 40), atoms=st.integers(2, 6))
+    def test_idempotent_and_self_adjoint(self, seed, size, atoms):
+        # non-uniform weights, and every point of atom 0 weightless
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, atoms, size)
+        labels[:2] = [0, 1]
+        w = rng.random(size) + 0.01
+        w[labels == 0] = 0.0
+        space = FiniteProbabilitySpace(w / w.sum())
+        y = Factor(labels)
+        f, g = rng.standard_normal(size), rng.standard_normal(size)
+        ef = conditional_expectation(space, f, y)
+        eg = conditional_expectation(space, g, y)
+        assert np.all(ef[labels == 0] == 0.0)
+        assert np.allclose(conditional_expectation(space, ef, y), ef, rtol=0, atol=1e-12)
+        assert space.inner(ef, g) == pytest.approx(space.inner(f, eg), abs=1e-12)
+
     def test_comparison_principle(self):
         rng = np.random.default_rng(6)
         space = FiniteProbabilitySpace.uniform(64)

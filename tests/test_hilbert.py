@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from structrand import (
     BudgetExceededError,
     CertificateError,
+    CharacterAtomSet,
+    CutAtomSet,
     DenseAtomSet,
     Factor,
     FactorFamily,
@@ -18,16 +20,16 @@ from structrand import (
     character_atoms,
     conditional_expectation,
     dyadic_interval_family,
-    energy_decrement_step,
     inner_product,
     norm,
     orthogonal_weak_decompose,
+    reed_muller_atoms,
     strong_decompose,
     strong_factor_decompose,
     weak_decompose,
 )
 
-from oracles import naive_inner, naive_staged_split
+from oracles import naive_inner, naive_ranked_candidates, naive_staged_split
 
 
 def normalized(rng, size):
@@ -71,43 +73,40 @@ class TestInnerProduct:
 
 
 class TestEnergyDecrementStep:
+    """The greedy step inside weak_decompose: best atom, weight <f, v>/||v||^2."""
+
     def test_scaled_atom(self):
         f = 0.3 * character(4, 5)
-        atoms = character_atoms(4)
-        key, c = energy_decrement_step(f, atoms, 0.2)
+        dec = weak_decompose(f, character_atoms(4), 0.2)
+        key, c = dec.atoms[0]
         assert key == 5
         assert c == pytest.approx(0.3, abs=1e-12)
-        residual = f - c * atoms.atom_vector(key)
-        assert inner_product(residual, residual) <= 1e-15
+        assert dec.trace[0]["energy"] <= 1e-15
 
     def test_none_when_pseudorandom(self):
         rng = np.random.default_rng(3)
         f = normalized(rng, 64)
         atoms = character_atoms(6)
         level = atoms.scan(f).lower
-        assert energy_decrement_step(f, atoms, min(1.0, level * 2)) is None
+        assert weak_decompose(f, atoms, min(1.0, level * 2)).atoms == []
 
     def test_energy_decrement_bound(self):
         rng = np.random.default_rng(4)
         atoms = character_atoms(6)
         for _ in range(20):
             f = normalized(rng, 64)
-            step = energy_decrement_step(f, atoms, 0.1)
-            if step is None:
-                continue
-            key, c = step
-            residual = f - c * atoms.atom_vector(key)
-            before = inner_product(f, f)
-            after = inner_product(residual, residual)
-            assert after <= before - 0.01 + 1e-9
-            assert abs(c) <= 10 + 1e-9
+            dec = weak_decompose(f, atoms, 0.1)
+            energies = [inner_product(f, f)] + [rec["energy"] for rec in dec.trace]
+            for before, after in zip(energies, energies[1:]):
+                assert after <= before - 0.01 + 1e-9
+            assert all(abs(c) <= 10 + 1e-9 for _, c in dec.atoms)
 
     def test_rejects_bad_eps_and_norm(self):
         atoms = character_atoms(3)
         with pytest.raises(PreconditionError):
-            energy_decrement_step(np.ones(8), atoms, 0.0)
+            weak_decompose(np.ones(8), atoms, 0.0)
         with pytest.raises(PreconditionError):
-            energy_decrement_step(np.ones(8) * 3.0, atoms, 0.5)
+            weak_decompose(np.ones(8) * 3.0, atoms, 0.5)
 
 
 class TestWeakDecompose:
@@ -383,3 +382,87 @@ class TestDenseAtomSet:
         manual = max(abs(naive_inner(row, f)) for row in mat)
         assert scan.lower == pytest.approx(manual, abs=1e-12)
         assert scan.exact
+
+
+def run_split(split, f, atoms, eps):
+    if split == "weak":
+        return weak_decompose(f, atoms, eps)
+    if split == "orthogonal":
+        return orthogonal_weak_decompose(f, atoms, eps)
+    return strong_decompose(f, atoms, eps, GrowthFunction.linear(2))
+
+
+class TestOneScanPerResidual:
+    """Every split scans each residual it reaches once, and the scan that
+    ends it is its pseudorandomness certificate."""
+
+    @pytest.mark.parametrize("split", ["strong", "orthogonal", "weak"])
+    def test_scan_count(self, split, monkeypatch):
+        # a sparse spectrum at four levels, so the strong split runs several stages
+        f = sum(c * character(6, xi) for c, xi in [(0.7, 3), (0.45, 17), (0.3, 40), (0.1, 9)])
+        f = f / norm(f)
+        # each search is one transform, whichever method runs it
+        calls = []
+        table = CharacterAtomSet.correlations
+        monkeypatch.setattr(
+            CharacterAtomSet, "correlations", lambda self, g: calls.append(1) or table(self, g)
+        )
+        dec = run_split(split, f, character_atoms(6), 0.2)
+        if split == "strong":
+            assert len(dec.stages) >= 2
+        assert dec.iterations >= 2
+        assert len(calls) == dec.iterations + 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=SEEDS,
+        family=st.sampled_from(["characters", "reed-muller", "cuts-exact", "cuts-heuristic"]),
+        split=st.sampled_from(["strong", "orthogonal", "weak"]),
+        eps=st.sampled_from([0.2, 0.3, 0.5]),
+    )
+    def test_certificate_is_final_scan(self, seed, family, split, eps):
+        rng = np.random.default_rng(seed)
+        if family.startswith("cuts"):
+            n = 6 if family == "cuts-exact" else 20
+            atoms = CutAtomSet(n, seed=seed % 7)
+            f = rng.uniform(-1, 1, (n, n))
+            f[: n // 2, n // 3 :] += rng.uniform(0, 2)  # a planted block
+        else:
+            atoms = character_atoms(5) if family == "characters" else reed_muller_atoms(4, 2)
+            keys = rng.integers(0, len(atoms), 3)
+            f = 0.3 * rng.standard_normal(atoms.atom_vector(0).size)
+            f = f + sum(rng.uniform(-1, 1) * atoms.atom_vector(int(k)) for k in keys)
+        f = f / norm(f)
+        dec = run_split(split, f, atoms, eps)
+        fresh = atoms.scan(dec.f_psd)
+        assert dec.pseudo_found == fresh.lower
+        assert dec.pseudo_exact == fresh.exact == atoms.exact
+
+
+class TestRankedCandidates:
+    """candidates() against direct sums on dyadic inputs, whose correlations
+    are exact, so ties are exact too and break by key."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        seed=SEEDS,
+        eps=st.sampled_from([0.0625, 0.125, 0.25, 0.5]),
+        limit=st.sampled_from([1, 3, 8, 64]),
+    )
+    def test_characters(self, n, seed, eps, limit):
+        rng = np.random.default_rng(seed)
+        f = rng.integers(-4, 5, 1 << n) / 4.0
+        atoms = character_atoms(n)
+        atoms.max_candidates = limit
+        rows = [atoms.atom_vector(k) for k in range(len(atoms))]
+        assert atoms.candidates(f, eps) == naive_ranked_candidates(rows, f, eps, limit)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=SEEDS, eps=st.sampled_from([0.125, 0.25, 0.5]))
+    def test_reed_muller(self, seed, eps):
+        rng = np.random.default_rng(seed)
+        atoms = reed_muller_atoms(4, 2)
+        f = rng.integers(-4, 5, 16) / 4.0
+        expected = naive_ranked_candidates(atoms.matrix, f, eps, atoms.max_candidates)
+        assert atoms.candidates(f, eps) == expected
