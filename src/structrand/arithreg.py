@@ -3,7 +3,10 @@
 The indicator of the set is split by the strong decomposition against the
 character family; the kernel of the characters appearing in the structured
 part is the subspace V, and each translate y + V gets a density and a
-worst-character bias, measured exactly with a masked transform.
+worst-character bias.  The cube is laid out as a table with one row per
+translate and one column per setting of the coordinates no constraint leads
+on, so every translate's characters come from one batched transform of
+length 2^(n-d) along the rows, (n - d) 2^n work in all.
 """
 
 from __future__ import annotations
@@ -82,18 +85,40 @@ def coset_ids(n: int, basis) -> np.ndarray:
     return ids
 
 
-def coset_bias(f_centered_masked: np.ndarray, coset_size: int) -> float:
-    """Worst character average over a coset, from the masked transform."""
-    spec = walsh_hadamard(f_centered_masked)
-    return float(np.max(np.abs(spec))) * f_centered_masked.size / coset_size
+def coset_entries(f, n: int, basis, eps: float) -> list:
+    """Density, first point and worst character bias of every translate.
+
+    ``basis`` is an echelon basis of the d constraints (distinct leading
+    bits).  The cube is laid out as a (2^d, 2^(n-d)) table: point x goes to
+    row coset_ids(x) and to the column its free bits (those no row leads on)
+    spell.  Within a row the free bits fix the leading ones, so the row lists
+    one translate along an affine bijection with F_2^(n-d), and the
+    characters of F_2^n restricted to it are the characters of the column
+    index: one transform along the rows gives every bias.
+    """
+    d = len(basis)
+    x = np.arange(1 << n, dtype=np.int64)
+    col = x  # x with its leading bits cut out, highest first
+    for lead in sorted((int(b).bit_length() - 1 for b in basis), reverse=True):
+        col = (col >> (lead + 1) << lead) | (col & ((1 << lead) - 1))
+    points = np.empty((1 << d, 1 << (n - d)), dtype=np.int64)
+    points[coset_ids(n, basis), col] = x
+    rows = np.asarray(f, dtype=float)[points]
+    density = rows.mean(axis=1)
+    bias = np.abs(walsh_hadamard(rows - density[:, None])).max(axis=1)
+    return [
+        CosetEntry(
+            representative=int(rep),
+            size=points.shape[1],
+            density=float(dens),
+            max_bias=float(b),
+            regular=bool(b <= eps + EPS_TOL),
+        )
+        for rep, dens, b in zip(points.min(axis=1), density, bias)
+    ]
 
 
-def arithmetic_regularize(
-    A,
-    n: int,
-    eps: float,
-    growth: GrowthFunction | None = None,
-) -> CosetReport:
+def arithmetic_regularize(A, n: int, eps: float) -> CosetReport:
     """Find a subspace on most of whose translates the set looks Fourier-flat.
 
     ``A`` is an iterable of points or a dense 0/1 array.  The returned report
@@ -109,33 +134,12 @@ def arithmetic_regularize(
             raise PreconditionError("dense input must be a 0/1 indicator")
     else:
         f = indicator_from_set(n, A)
-    atoms = CharacterAtomSet(n)
-    if growth is None:
-        growth = GrowthFunction.arithmetic_regularity(eps)
-    dec = strong_decompose(f, atoms, eps, growth)
+    growth = GrowthFunction.arithmetic_regularity(eps)
+    dec = strong_decompose(f, CharacterAtomSet(n), eps, growth)
     basis = f2_row_basis(k for k, _ in dec.atoms)
     d = len(basis)
-    ids = coset_ids(n, basis)
-    entries = []
-    irregular = 0
-    for cid in range(1 << d):
-        mask = ids == cid
-        size = int(mask.sum())
-        density = float(f[mask].mean())
-        centered = np.where(mask, f - density, 0.0)
-        bias = coset_bias(centered, size)
-        regular = bias <= eps + EPS_TOL
-        if not regular:
-            irregular += 1
-        entries.append(
-            CosetEntry(
-                representative=int(np.flatnonzero(mask)[0]),
-                size=size,
-                density=density,
-                max_bias=bias,
-                regular=regular,
-            )
-        )
+    entries = coset_entries(f, n, basis, eps)
+    irregular = sum(not e.regular for e in entries)
     return CosetReport(
         n=n,
         eps=eps,

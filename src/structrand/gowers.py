@@ -23,9 +23,9 @@ from .errors import BudgetExceededError, CertificateError, PreconditionError
 
 MAX_D = 4
 # U^d and D_d on F_2^n touch 2^{n * max(d - 1, 1)} cells: one row per
-# derivative chain of length d - 2, each transformed once.  The shift-side
-# routes (the U^2 check by shifts, the trilinear form) and the d = 3
-# inverse-99 fits and vote touch 2^{2n}; the d = 2 vote is a transform.
+# derivative chain of length d - 2, each transformed once.  The U^2 check by
+# shifts and the d = 3 inverse-99 fits and vote touch 2^{2n}; the d = 2 vote
+# and the trilinear form are transforms, held only by the cube cap.
 BUDGET_BITS = 26
 # Derivative rows are materialized this many cells at a time.
 BLOCK_CELLS = 1 << 16
@@ -154,14 +154,15 @@ def dual_function(f, d: int) -> np.ndarray:
 def gvn_defect(f, g, h, t1, t2):
     """The trilinear form |E f(x) g(x+T1 r) h(x+T2 r)| and its U^2 bound.
 
-    T1, T2 and T1 - T2 must all be invertible over F_2 (checked by rank); the
-    returned pair (lhs, bound) always satisfies lhs <= bound + 1e-9.
+    With M = T2 T1^-1 the form is sum_gamma fhat((I+M^T) gamma) ghat(M^T gamma)
+    hhat(gamma): three transforms and a table of M^T.  T1, T2 and T1 - T2 must
+    all be invertible over F_2 (checked by rank); the returned pair
+    (lhs, bound) always satisfies lhs <= bound + 1e-9.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     n = cube_dim(f)
-    check_budget("the trilinear form", n, 2 * n)
     if g.shape != f.shape or h.shape != f.shape:
         raise PreconditionError("f, g, h must share a domain")
     for name, arr in (("f", f), ("g", g), ("h", h)):
@@ -175,14 +176,13 @@ def gvn_defect(f, g, h, t1, t2):
     for name, mat in (("T1", t1), ("T2", t2), ("T1-T2", diff)):
         if f2_matrix_rank(mat) != n:
             raise PreconditionError(f"{name} is singular over F_2")
-    table1 = f2_matvec_table(t1)
-    table2 = f2_matvec_table(t2)
-    size = f.size
-    x = np.arange(size)
-    total = 0.0
-    for r in range(size):
-        total += float(np.dot(f, g[x ^ int(table1[r])] * h[x ^ int(table2[r])]))
-    lhs = abs(total) / (size * size)
+    gamma = np.arange(f.size)
+    inverse = np.empty_like(gamma)
+    inverse[f2_matvec_table(t1)] = gamma  # T1 permutes F_2^n
+    t1_inv = (inverse[1 << np.arange(n)] >> np.arange(n)[:, None]) & 1
+    mt = f2_matvec_table(((np.asarray(t2, dtype=np.int64) % 2) @ t1_inv % 2).T)
+    fh, gh, hh = (walsh_hadamard(a) for a in (f, g, h))
+    lhs = abs(float(np.dot(fh[gamma ^ mt] * gh[mt], hh)))
     bound = gowers_norm(f, 2)
     if lhs > bound + 1e-9:
         raise CertificateError(

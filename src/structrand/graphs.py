@@ -423,7 +423,6 @@ def szemeredi_regularize(
     eps: float,
     m: int,
     mode: str = "sampled",
-    growth: GrowthFunction | None = None,
     seed: int = 0,
 ) -> RegularityPartition:
     """Equitable partition with most pairs eps-regular.
@@ -439,8 +438,7 @@ def szemeredi_regularize(
         raise PreconditionError("eps must lie in (0, 1)")
     if m < 1:
         raise PreconditionError("m must be at least 1")
-    if growth is None:
-        growth = GrowthFunction.arithmetic_regularity(eps)
+    growth = GrowthFunction.arithmetic_regularity(eps)
     atoms = CutAtomSet(n, seed=seed)
     dec = strong_decompose(g, atoms, eps, growth)
     cell_ids, signatures = _atom_cells(n, dec.atoms)

@@ -115,6 +115,27 @@ def naive_coset_bias(f, members, density):
     return best
 
 
+def naive_trilinear(f, g, h, t1, t2):
+    """E_{x,r} f(x) g(x + T1 r) h(x + T2 r), one shift r at a time.
+
+    T1 and T2 are n x n 0/1 matrices acting on bit masks: bit i of T r is
+    the parity of sum_j T[i][j] r_j.
+    """
+    size = len(f)
+    n = size.bit_length() - 1
+    x = np.arange(size)
+
+    def apply(t, r):
+        return sum(
+            (sum(int(t[i][j]) * ((r >> j) & 1) for j in range(n)) % 2) << i for i in range(n)
+        )
+
+    total = math.fsum(
+        float(np.dot(f, g[x ^ apply(t1, r)] * h[x ^ apply(t2, r)])) for r in range(size)
+    )
+    return total / (size * size)
+
+
 def count_edges(g, rows, cols):
     return math.fsum(float(g[u][v]) for u in rows for v in cols)
 

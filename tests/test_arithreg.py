@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structrand import PreconditionError, arithmetic_regularize, character
-from structrand.arithreg import coset_ids, indicator_from_set
+from structrand.arithreg import coset_entries, coset_ids, indicator_from_set
 
 from oracles import naive_coset_bias
 
@@ -33,15 +35,50 @@ class TestArithmeticRegularity:
     def test_random_set_verdicts_match_oracle(self):
         n = 10
         rng = np.random.default_rng(0)
+        random_set = (rng.random(1 << n) < 0.5).astype(float)
+        # a clean planted codim-2 subspace {x : x . 531 = x . 416 = 0}
+        subspace = ((character(n, 531) > 0) & (character(n, 416) > 0)).astype(float)
+        for f, eps, codimension in ((random_set, 0.25, 0), (subspace, 0.1, 2)):
+            report = arithmetic_regularize(f, n, eps)
+            assert report.success
+            assert report.codimension == codimension
+            assert report.irregular_count <= eps * 2**report.codimension + 1e-9
+            ids = coset_ids(n, report.constraints)
+            for cid, entry in enumerate(report.entries):
+                members = [int(x) for x in np.flatnonzero(ids == cid)]
+                oracle = naive_coset_bias(f, members, entry.density)
+                assert entry.max_bias == pytest.approx(oracle, abs=1e-9)
+                assert entry.regular == (oracle <= eps + 1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), share=st.booleans())
+    def test_coset_table_matches_oracle(self, data, seed, share):
+        n = data.draw(st.integers(2, 8), label="n")
+        d = data.draw(st.integers(1, n - 1), label="d")
+        rng = np.random.default_rng(seed)
+        leads = sorted(rng.choice(n, d, replace=False).tolist(), reverse=True)
+        # echelon rows: distinct leading bits over random lower bits; with
+        # share, every row also carries the leading bits of the rows below
+        basis = [
+            (1 << lead)
+            | int(rng.integers(0, 1 << lead))
+            | (sum(1 << low for low in leads[i + 1 :]) if share else 0)
+            for i, lead in enumerate(leads)
+        ]
         f = (rng.random(1 << n) < 0.5).astype(float)
-        report = arithmetic_regularize(f, n, 0.25)
-        assert report.success
-        assert report.irregular_count <= 0.25 * 2**report.codimension + 1e-9
-        ids = coset_ids(n, report.constraints)
-        for cid, entry in enumerate(report.entries):
-            members = [int(x) for x in np.flatnonzero(ids == cid)]
+        entries = coset_entries(f, n, basis, 0.25)
+        assert len(entries) == 1 << d
+        for cid, entry in enumerate(entries):
+            members = [
+                x
+                for x in range(1 << n)
+                if all(bin(x & b).count("1") % 2 == (cid >> i) & 1 for i, b in enumerate(basis))
+            ]
+            assert entry.size == len(members) == 1 << (n - d)
+            assert entry.representative == members[0]
+            assert entry.density == sum(f[x] for x in members) / len(members)
             oracle = naive_coset_bias(f, members, entry.density)
-            assert entry.max_bias == pytest.approx(oracle, abs=1e-9)
+            assert entry.max_bias == pytest.approx(oracle, abs=1e-12)
             assert entry.regular == (oracle <= 0.25 + 1e-9)
 
     def test_point_list_input(self):

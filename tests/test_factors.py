@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from structrand import (
@@ -428,13 +428,16 @@ class TestSparseDecompose:
     def test_verify_certifies_sparse_split(self, seed, eps):
         # nu = 2 on half of every 16-point block, so E(nu | Y) = 1 on every
         # factor built from the stock; f keeps most of nu on one half and
-        # little on the other, so the first stage always joins a member
+        # little on the other, so f - E f nearly always projects onto some
+        # member past the first stage's threshold 1/3 and the stage joins it
+        # (a few draws, such as seed 76388, fall short and rightly join none)
         rng = np.random.default_rng(seed)
         space = FiniteProbabilitySpace.uniform(256)
         family = dyadic_interval_family(256, 16)
         nu = 2.0 * (rng.permuted(np.tile(np.arange(16) < 8, (16, 1)), axis=1).ravel())
         halves = np.repeat(rng.permutation([0.0, 1.0]), 8) + 0.15 * rng.standard_normal(16)
         f = nu * (rng.random(256) < np.repeat(np.clip(halves, 0, 1), 16))
+        assume(family.projections(space, f - space.integral(f)).max() > 1 / 3 + 1e-9)
         eta = float(rng.uniform(0.0, 0.5))
         dec = sparse_decompose(space, f, nu, family, eps, GrowthFunction.linear(2, offset=1), eta)
         assert dec.complexity >= 1

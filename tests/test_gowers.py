@@ -19,7 +19,7 @@ from structrand import (
 
 from structrand.gowers import _u2_power_by_shifts
 
-from oracles import naive_dual, naive_gowers_norm, u_power_direct
+from oracles import naive_dual, naive_gowers_norm, naive_trilinear, u_power_direct
 
 
 def random_pm1(rng, size):
@@ -91,9 +91,10 @@ class TestGowersNorm:
             gowers_norm(np.ones(1 << 9), 4)
 
     def test_trilinear_form_budget(self):
-        # the form sums over all 2^n x 2^n pairs (x, r): 2^28 at n = 14
-        f = np.ones(1 << 14)
-        eye = np.eye(14, dtype=np.int64)
+        # the form is three transforms, refused only past the cube cap, at
+        # n = 25; the broadcast input allocates nothing
+        f = np.broadcast_to(1.0, 1 << 25)
+        eye = np.eye(25, dtype=np.int64)
         with pytest.raises(BudgetExceededError):
             gvn_defect(f, f, f, eye, eye)
 
@@ -249,6 +250,15 @@ class TestGeneralizedVonNeumann:
             h = rng.uniform(-1, 1, 32)
             lhs, bound = gvn_defect(f, g, h, t1, t2)
             assert lhs <= bound + 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 8), seed=SEEDS)
+    def test_matches_trilinear_oracle(self, n, seed):
+        rng = np.random.default_rng(seed)
+        t1, t2 = random_gvn_maps(rng, n)
+        f, g, h = rng.uniform(-1, 1, (3, 1 << n))
+        lhs, _ = gvn_defect(f, g, h, t1, t2)
+        assert abs(lhs - abs(naive_trilinear(f, g, h, t1, t2))) <= 1e-12
 
     def test_rejects_singular_maps(self):
         n = 3
