@@ -32,6 +32,8 @@ class FiniteProbabilitySpace:
             raise PreconditionError(f"weights sum to {w.sum()}, not 1")
         self.weights = w
         self.size = w.size
+        live = w > 0
+        self._live = None if live.all() else live
 
     @classmethod
     def uniform(cls, n: int):
@@ -50,19 +52,37 @@ class FiniteProbabilitySpace:
         return math.sqrt(max(self.inner(f, f), 0.0))
 
     def linf(self, f) -> float:
+        """max |f| over the points of positive weight (0 when there are none)."""
         f = np.asarray(f, dtype=float)
-        live = self.weights > 0
-        return float(np.max(np.abs(f[live]))) if live.any() else 0.0
+        if self._live is not None:
+            f = f[self._live]
+        return float(np.max(np.abs(f))) if f.size else 0.0
 
 
 class Factor:
-    """A partition of the points, as an atom label per point."""
+    """A partition of the points, as an atom label per point.
+
+    Labels are canonicalized to 0..num_atoms-1 in the order of the given
+    values.  Integer labels in [0, N) on N points are ranked by counting
+    (the count array is no longer than the labels); any other labels are
+    sorted.  Atom masses are kept for the last space they were counted on.
+    """
 
     def __init__(self, labels):
         labels = np.asarray(labels)
-        _, inverse = np.unique(labels, return_inverse=True)
-        self.labels = inverse.astype(np.int64)
+        if labels.dtype == np.bool_:
+            labels = labels.view(np.uint8)  # so that indexing by labels gathers
+        n = labels.size
+        if labels.ndim == 1 and labels.dtype.kind in "iu" and (
+            n == 0 or (labels.min() >= 0 and labels.max() < n)
+        ):
+            present = np.bincount(labels) > 0
+            inverse = (np.cumsum(present) - 1)[labels]
+        else:
+            _, inverse = np.unique(labels, return_inverse=True)
+        self.labels = inverse.astype(np.int64, copy=False)
         self.num_atoms = int(self.labels.max()) + 1 if self.labels.size else 0
+        self._masses = (None, None)
 
     @classmethod
     def trivial(cls, n: int):
@@ -79,6 +99,14 @@ class Factor:
     def atoms(self):
         return [np.flatnonzero(self.labels == a) for a in range(self.num_atoms)]
 
+    def masses(self, space: FiniteProbabilitySpace) -> np.ndarray:
+        """The measure of every atom under ``space``."""
+        counted_on, masses = self._masses
+        if counted_on is not space:
+            masses = np.bincount(self.labels, weights=space.weights, minlength=self.num_atoms)
+            self._masses = (space, masses)
+        return masses
+
     def join(self, other: "Factor") -> "Factor":
         if self.labels.size != other.labels.size:
             raise PreconditionError("factors live on different ground sets")
@@ -87,10 +115,7 @@ class Factor:
 
     def refines(self, other: "Factor") -> bool:
         """True when every atom of self sits inside one atom of other."""
-        for a in range(self.num_atoms):
-            if len(np.unique(other.labels[self.labels == a])) > 1:
-                return False
-        return True
+        return self.join(other).num_atoms == self.num_atoms
 
     def __eq__(self, other):
         return isinstance(other, Factor) and np.array_equal(self.labels, other.labels)
@@ -123,7 +148,7 @@ def conditional_expectation(space: FiniteProbabilitySpace, f, factor: Factor):
     used here).
     """
     f = np.asarray(f, dtype=float)
-    masses = np.bincount(factor.labels, weights=space.weights, minlength=factor.num_atoms)
+    masses = factor.masses(space)
     sums = np.bincount(
         factor.labels, weights=space.weights * f, minlength=factor.num_atoms
     )

@@ -189,6 +189,13 @@ def naive_ranked_candidates(atoms, f, eps, limit):
     return kept[:limit]
 
 
+def naive_canonical_labels(labels):
+    """Each label's rank among the distinct labels in sorted order; labels are
+    plain Python values (numbers, or tuples of numbers for a join)."""
+    rank = {value: i for i, value in enumerate(sorted(set(labels)))}
+    return [rank[value] for value in labels]
+
+
 def naive_conditional_expectation(weights, f, labels):
     out = np.zeros(len(f))
     for atom in set(int(a) for a in labels):

@@ -23,7 +23,11 @@ from structrand import (
     weak_factor_decompose,
 )
 
-from oracles import naive_conditional_expectation, naive_staged_factor_split
+from oracles import (
+    naive_canonical_labels,
+    naive_conditional_expectation,
+    naive_staged_factor_split,
+)
 
 
 def random_factor(rng, n, atoms):
@@ -48,6 +52,7 @@ class TestSpace:
             f = rng.standard_normal(64)
             assert space.l1(f) <= space.l2(f) + 1e-12
             assert space.l2(f) <= space.linf(f) + 1e-12
+            assert space.linf(f) == np.abs(f).max()
 
 
 class TestConditionalExpectation:
@@ -126,11 +131,29 @@ class TestConditionalExpectation:
         space = FiniteProbabilitySpace(w / w.sum())
         y = Factor(labels)
         f, g = rng.standard_normal(size), rng.standard_normal(size)
+        f[0] = -10.0  # the largest |f| sits on a weightless point
         ef = conditional_expectation(space, f, y)
         eg = conditional_expectation(space, g, y)
         assert np.all(ef[labels == 0] == 0.0)
+        assert space.linf(f) == np.abs(f[labels != 0]).max()
         assert np.allclose(conditional_expectation(space, ef, y), ef, rtol=0, atol=1e-12)
         assert space.inner(ef, g) == pytest.approx(space.inner(f, eg), abs=1e-12)
+
+    def test_masses_follow_the_space(self):
+        # one factor used on two spaces in turn: its kept masses must never
+        # be those of the other space
+        rng = np.random.default_rng(11)
+        labels = rng.integers(0, 4, 24)
+        labels[:4] = [0, 1, 2, 3]
+        w = rng.random(24)
+        w[labels == 2] = 0.0
+        uniform, weighted = FiniteProbabilitySpace.uniform(24), FiniteProbabilitySpace(w / w.sum())
+        y = Factor(labels)
+        for space in (uniform, weighted, weighted, uniform, uniform, weighted):
+            f = rng.standard_normal(24)
+            ours = conditional_expectation(space, f, y)
+            oracle = naive_conditional_expectation(space.weights, f, labels)
+            assert np.abs(ours - oracle).max() <= 1e-12
 
     def test_comparison_principle(self):
         rng = np.random.default_rng(6)
@@ -141,6 +164,63 @@ class TestConditionalExpectation:
         ef = conditional_expectation(space, f, y)
         eg = conditional_expectation(space, g, y)
         assert np.all(np.abs(eg) <= ef + 1e-12)
+
+
+LABEL_DTYPES = (np.bool_, np.uint8, np.int64)
+
+
+@st.composite
+def label_arrays(draw):
+    """Label arrays of one dtype; int64 ones may be negative or reach past N."""
+    dtype = draw(st.sampled_from(LABEL_DTYPES))
+    size = draw(st.integers(1, 40))
+    if dtype is np.bool_:
+        values = st.booleans()
+    elif dtype is np.uint8:
+        values = st.integers(0, 255)
+    else:
+        values = st.integers(draw(st.sampled_from([-5, 0])), draw(st.sampled_from([size, 3 * size])))
+    return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype)
+
+
+class TestFactorLabels:
+    @settings(max_examples=200, deadline=None)
+    @given(labels=label_arrays())
+    def test_labels_match_oracle(self, labels):
+        y = Factor(labels)
+        expected = naive_canonical_labels(labels.tolist())
+        assert y.labels.dtype == np.int64
+        assert y.labels.tolist() == expected
+        assert y.num_atoms == len(set(expected))
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=label_arrays(), b=label_arrays())
+    def test_join_matches_oracle_on_pairs(self, a, b):
+        size = min(a.size, b.size)
+        y1, y2 = Factor(a[:size]), Factor(b[:size])
+        pairs = list(zip(y1.labels.tolist(), y2.labels.tolist()))
+        assert y1.join(y2).labels.tolist() == naive_canonical_labels(pairs)
+
+    def test_single_point_and_empty(self):
+        for labels in ([7], [-3], [0], [True]):
+            y = Factor(np.array(labels))
+            assert y.labels.tolist() == [0] and y.num_atoms == 1
+        for labels in ([], np.array([], dtype=np.int64), np.array([], dtype=bool)):
+            y = Factor(labels)
+            assert y.labels.dtype == np.int64 and y.labels.size == 0 and y.num_atoms == 0
+
+    def test_in_range_labels_are_counted_not_sorted(self, monkeypatch):
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+        mask = np.arange(16) < 4
+        Factor.from_indicator(mask).join(interval_factor(16, 8, 12))
+        Factor.discrete(16).join(Factor.trivial(16))
+        Factor(mask)
+        assert calls == []
+        Factor([-1, 0, 1])  # negative
+        Factor([0, 3, 3])  # reaches N
+        assert len(calls) == 2
 
 
 class TestFactorJoin:
@@ -162,6 +242,10 @@ class TestFactorJoin:
         pairs = {(int(a), int(b)) for a, b in zip(y1.labels, y2.labels)}
         assert joined.num_atoms == len(pairs)
         assert joined.refines(y1) and joined.refines(y2)
+        # 32 points in 3 x 3 random cells: some atom of y1 meets two of y2
+        assert len(pairs) > y1.num_atoms and not y1.refines(y2)
+        assert not Factor([0, 0, 1, 1]).refines(Factor([0, 1, 1, 1]))
+        assert Factor([0, 0, 1, 2]).refines(Factor([5, 5, 7, 7]))
 
     def test_join_energy_monotone(self):
         rng = np.random.default_rng(10)
