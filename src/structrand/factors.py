@@ -64,8 +64,9 @@ class Factor:
 
     Labels are canonicalized to 0..num_atoms-1 in the order of the given
     values.  Integer labels in [0, N) on N points are ranked by counting
-    (the count array is no longer than the labels); any other labels are
-    sorted.  Atom masses are kept for the last space they were counted on.
+    (the count array is no longer than the labels; labels holding every value
+    up to their largest are already ranked); any other labels are sorted.
+    Atom masses are kept for the last space they were counted on.
     """
 
     def __init__(self, labels):
@@ -76,8 +77,10 @@ class Factor:
         if labels.ndim == 1 and labels.dtype.kind in "iu" and (
             n == 0 or (labels.min() >= 0 and labels.max() < n)
         ):
-            present = np.bincount(labels) > 0
-            inverse = (np.cumsum(present) - 1)[labels]
+            # 0/1 labels (indicators, the trivial factor) need no count
+            small = n and labels.max() <= 1
+            present = np.array([labels.min() == 0, True]) if small else np.bincount(labels) > 0
+            inverse = labels.astype(np.int64) if present.all() else (np.cumsum(present) - 1)[labels]
         else:
             _, inverse = np.unique(labels, return_inverse=True)
         self.labels = inverse.astype(np.int64, copy=False)
@@ -86,7 +89,7 @@ class Factor:
 
     @classmethod
     def trivial(cls, n: int):
-        return cls(np.zeros(n, dtype=np.int64))
+        return cls(np.zeros(n, dtype=np.uint8))
 
     @classmethod
     def discrete(cls, n: int):
@@ -94,7 +97,7 @@ class Factor:
 
     @classmethod
     def from_indicator(cls, mask):
-        return cls(np.asarray(mask).astype(bool).astype(np.int64))
+        return cls(np.asarray(mask, dtype=bool))
 
     def atoms(self):
         return [np.flatnonzero(self.labels == a) for a in range(self.num_atoms)]
@@ -120,9 +123,6 @@ class Factor:
     def __eq__(self, other):
         return isinstance(other, Factor) and np.array_equal(self.labels, other.labels)
 
-    def __hash__(self):
-        return hash(self.labels.tobytes())
-
 
 @dataclass
 class FactorFamily:
@@ -137,33 +137,37 @@ class FactorFamily:
         return self.members[i]
 
     def projections(self, space, f) -> np.ndarray:
-        """||E(f | Y)||_2 for every member Y, in member order."""
-        return np.array([projection_norm(space, f, y) for y in self.members])
+        """||E(f | Y)||_2 for every member Y, in member order, from Y's atom
+        sums of one weighted copy of f."""
+        weighted = space.weights * np.asarray(f, dtype=float)
+        return np.sqrt([_atom_averages(space, weighted, y)[1] for y in self.members])
+
+
+def _atom_averages(space, weighted, factor: Factor):
+    """Atom averages of f from ``weighted`` = weights * f (0 on atoms of
+    measure zero), and ||E(f | factor)||_2^2 = sum over atoms of sum^2/mass."""
+    masses = factor.masses(space)
+    sums = np.bincount(factor.labels, weights=weighted, minlength=factor.num_atoms)
+    averages = np.divide(sums, masses, out=np.zeros_like(sums), where=masses > 0)
+    return averages, float(np.dot(averages, sums))
 
 
 def conditional_expectation(space: FiniteProbabilitySpace, f, factor: Factor):
-    """Weighted atom averages of f, constant on each atom of the factor.
-
-    Atoms of measure zero get the value 0 (they are invisible to every norm
-    used here).
-    """
-    f = np.asarray(f, dtype=float)
-    masses = factor.masses(space)
-    sums = np.bincount(
-        factor.labels, weights=space.weights * f, minlength=factor.num_atoms
-    )
-    averages = np.divide(sums, masses, out=np.zeros_like(sums), where=masses > 0)
+    """Weighted atom averages of f, constant on each atom of the factor."""
+    averages, _ = _atom_averages(space, space.weights * np.asarray(f, dtype=float), factor)
     return averages[factor.labels]
 
 
 def projection_norm(space, f, factor) -> float:
-    return space.l2(conditional_expectation(space, f, factor))
+    return float(FactorFamily([factor]).projections(space, f)[0])
 
 
-def majorant_level(space, nu, eta, factor, members) -> float:
-    """||E(nu | factor)||_inf, raising MajorantViolationError naming the stock
-    members behind the factor when it exceeds 1 + eta."""
-    level = space.linf(conditional_expectation(space, nu, factor))
+def majorant_level(space, weighted_nu, eta, factor, members) -> float:
+    """||E(nu | factor)||_inf (the largest |atom average|, as every atom of
+    positive mass holds a point of positive weight) from ``weighted_nu`` =
+    weights * nu, raising MajorantViolationError naming the stock members
+    behind the factor when it exceeds 1 + eta."""
+    level = float(np.max(np.abs(_atom_averages(space, weighted_nu, factor)[0]), initial=0.0))
     if level > 1.0 + eta + EPS_TOL:
         message = f"majorant conditional expectation reaches {level:.6f} > 1 + {eta}"
         raise MajorantViolationError(message, members=members, linf=level)
@@ -171,19 +175,29 @@ def majorant_level(space, nu, eta, factor, members) -> float:
 
 
 class Refinement:
-    """A factor refined by joining stock members, with f_str = E(f | factor);
-    ``kept_factor`` and ``kept_f_str`` hold the committed stages, which the
-    current stage refines further.  Under a majorant (nu, eta) every factor
-    used is checked by ``majorant_level``, which caps the energy by
-    (1 + eta)^2; ``majorant_linf`` is the largest level found."""
+    """A factor refined by joining stock members, with f_str = E(f | factor)
+    and its ``energy`` read off the atom sums; the ``kept_`` fields hold the
+    committed stages, which the current stage refines further.  Under a
+    majorant (nu, eta) the stock (up front) and every factor used are checked
+    by ``majorant_level``, which caps the energy by (1 + eta)^2;
+    ``majorant_linf`` is the largest level found."""
 
     def __init__(self, space, f, family, factor, majorant=None):
-        self.space, self.f, self.family, self.majorant = space, f, family, majorant
+        self.space, self.f, self.family = space, f, family
+        self.weighted_f = space.weights * f
         self.energy_cap = 1.0 if majorant is None else (1.0 + majorant[1]) ** 2
-        self.factor, self.majorant_linf = factor, None
+        self.factor, self.majorant, self.majorant_linf = factor, None, None
+        if majorant is not None:  # the stock first, so violations surface before any work
+            self.majorant = (space.weights * np.asarray(majorant[0], dtype=float), majorant[1])
+            levels = (majorant_level(space, *self.majorant, y, (i,)) for i, y in enumerate(family))
+            self.majorant_linf = max(levels, default=None)
         self._check_majorant(())
-        self.f_str = conditional_expectation(space, f, factor)
+        self._condition()
         self.keep()
+
+    def _condition(self):
+        self.f_str = conditional_expectation(self.space, self.f, self.factor)
+        self.energy = _atom_averages(self.space, self.weighted_f, self.factor)[1]
 
     def _check_majorant(self, members):
         if self.majorant is not None:
@@ -209,14 +223,13 @@ class Refinement:
             self.members.append(idx)
             self.factor = self.factor.join(self.family[idx])
             self._check_majorant(tuple(self.members))
-            self.f_str = conditional_expectation(self.space, self.f, self.factor)
-            energy = self.space.l2(self.f_str) ** 2
-            if energy > self.energy_cap + EPS_TOL:
+            self._condition()
+            if self.energy > self.energy_cap + EPS_TOL:
                 raise CertificateError(
-                    f"projected energy {energy} exceeded the cap {self.energy_cap}"
+                    f"projected energy {self.energy} exceeded the cap {self.energy_cap}"
                 )
-            self.trace.append({"member": idx, "energy": energy})
-        gain = self.space.l2(self.f_str) ** 2 - self.space.l2(self.kept_f_str) ** 2
+            self.trace.append({"member": idx, "energy": self.energy})
+        gain = self.energy - self.kept_energy
         members = list(self.members)
         return {"joins": len(members), "energy_gain": gain, "members": members}, gain
 
@@ -224,7 +237,7 @@ class Refinement:
         return self._best(threshold) is not None
 
     def keep(self):
-        self.kept_factor, self.kept_f_str = self.factor, self.f_str
+        self.kept_factor, self.kept_f_str, self.kept_energy = self.factor, self.f_str, self.energy
         self.members, self.trace = [], []
 
 
@@ -400,10 +413,7 @@ def sparse_decompose(
         raise PreconditionError("the majorant must be non-negative")
     if np.any((f < -1e-12) | (f > nu + 1e-9)):
         raise PreconditionError("need 0 <= f <= nu pointwise")
-    # scan the stock up front so violations surface before any work happens
-    stock = [majorant_level(space, nu, eta, y, (i,)) for i, y in enumerate(family.members)]
     dec = strong_factor_decompose(space, f, family, eps, growth, majorant=(nu, eta), **kwargs)
-    dec.majorant_linf = max(stock + [dec.majorant_linf])
     if np.any(dec.f_str < -1e-9) or np.any(dec.f_str > 1.0 + eta + 1e-9):
         raise CertificateError("f_str escaped [0, 1 + eta]")
     # E(f | Y) keeps the integral exactly; each of the two length-N weighted

@@ -23,6 +23,8 @@ from structrand import (
     weak_factor_decompose,
 )
 
+from structrand.factors import Refinement, majorant_level
+
 from oracles import (
     naive_canonical_labels,
     naive_conditional_expectation,
@@ -166,6 +168,113 @@ class TestConditionalExpectation:
         assert np.all(np.abs(eg) <= ef + 1e-12)
 
 
+def gapped_labels(rng, size, atoms, gap):
+    """Labels with every one of ``atoms`` values present, spaced ``gap`` apart."""
+    labels = rng.integers(0, atoms, size)
+    labels[:atoms] = np.arange(atoms)
+    return labels * gap
+
+
+class TestAtomSumNorms:
+    """Scans and majorant levels read atom sums; the oracles gather E(f | Y)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(6, 40),
+        atoms=st.lists(st.integers(3, 6), min_size=1, max_size=4),
+        gap=st.sampled_from([1, 3, 50]),
+    )
+    def test_projections_match_gathered_oracle(self, seed, size, atoms, gap):
+        rng = np.random.default_rng(seed)
+        members = [gapped_labels(rng, size, a, gap) for a in atoms]
+        w = rng.random(size) + 0.01
+        w[members[0] == 0] = 0.0  # one atom of zero weight
+        w /= w.sum()
+        space = FiniteProbabilitySpace(w)
+        family = FactorFamily([Factor(labels) for labels in members])
+        f = rng.standard_normal(size)
+        levels = family.projections(space, f)
+        for labels, y, level in zip(members, family.members, levels):
+            ef = naive_conditional_expectation(w, f, labels)
+            oracle = math.sqrt(math.fsum(wi * v * v for wi, v in zip(w, ef)))
+            assert level == pytest.approx(oracle, rel=1e-12, abs=0)
+            assert projection_norm(space, f, y) == level
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(8, 40), atoms=st.integers(3, 6))
+    def test_majorant_level_is_linf_exactly(self, seed, size, atoms):
+        # dyadic weights and integer nu make every atom sum exact, so the two
+        # routes divide the same numbers
+        rng = np.random.default_rng(seed)
+        labels = gapped_labels(rng, size, atoms, 7)
+        labels[atoms] = 7  # points 1 and `atoms` share the atom labelled 7
+        counts = rng.integers(0, 4, size)
+        counts[labels == 0] = 0  # an atom of zero weight, holding point 0
+        counts[1] = 0  # a weightless point in an atom of positive mass
+        total = 1 << int(counts.sum()).bit_length()
+        counts[atoms] += total - counts.sum()
+        w = counts / total
+        nu = rng.integers(0, 20, size).astype(float)
+        nu[:2] = [1000.0, 2000.0]  # the largest nu sits on the weightless points
+        space = FiniteProbabilitySpace(w)
+        level = majorant_level(space, w * nu, 1e9, Factor(labels), ())
+        assert level == space.linf(naive_conditional_expectation(w, nu, labels))
+
+
+class TestScanShape:
+    """A stock scan builds no length-N E(f | Y); the split builds one E(f | .)
+    for the starting factor and one per join."""
+
+    @staticmethod
+    def count_conditional_expectations(monkeypatch):
+        import structrand.factors as factors
+
+        calls = []
+        original = factors.conditional_expectation
+        monkeypatch.setattr(
+            factors,
+            "conditional_expectation",
+            lambda *args: calls.append(args[2]) or original(*args),
+        )
+        return calls
+
+    def test_scan_and_split_counts(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        space = FiniteProbabilitySpace.uniform(48)
+        labels = [rng.integers(0, 2, 48) for _ in range(6)]
+        f = 0.6 * (labels[0] - 0.5) + 0.3 * (labels[1] - 0.5) + 0.15 * rng.standard_normal(48)
+        f /= space.l2(f)
+        family = FactorFamily([Factor(lab) for lab in labels])
+        calls = self.count_conditional_expectations(monkeypatch)
+        assert family.projections(space, f).size == 6
+        projection_norm(space, f, family[0])
+        assert calls == []
+        dec = strong_factor_decompose(space, f, family, 0.1, GrowthFunction.linear(2, offset=1))
+        joins = sum(stage["joins"] for stage in dec.stages)
+        assert joins >= 2
+        assert len(calls) == 1 + joins
+        assert calls[0] == Factor.trivial(48)
+        calls.clear()
+        dec.verify(space, f, family)
+        assert calls == [dec.factor]
+
+    def test_swapped_labels_tie_to_lower_index(self):
+        # a half-interval and its complement are one partition with the labels
+        # swapped: their projections tie exactly and the lower index wins
+        n = 64
+        space = FiniteProbabilitySpace.uniform(n)
+        left, right = interval_factor(n, 0, n // 2), interval_factor(n, n // 2, n)
+        assert np.array_equal(left.labels, 1 - right.labels)
+        f = np.where(np.arange(n) < n // 2, 0.5, -0.3) + 0.1 * np.sin(np.arange(n))
+        for pair in ((left, right), (right, left)):
+            family = FactorFamily([interval_factor(n, 0, 4), *pair])
+            levels = family.projections(space, f)
+            assert levels[1] == levels[2] > levels[0]
+            refinement = Refinement(space, f, family, Factor.trivial(n))
+            assert refinement._best(0.1) == 1
+
+
 LABEL_DTYPES = (np.bool_, np.uint8, np.int64)
 
 
@@ -208,6 +317,12 @@ class TestFactorLabels:
         for labels in ([], np.array([], dtype=np.int64), np.array([], dtype=bool)):
             y = Factor(labels)
             assert y.labels.dtype == np.int64 and y.labels.size == 0 and y.num_atoms == 0
+
+    def test_labels_are_not_shared_with_the_input(self):
+        labels = np.array([0, 1, 1, 0])  # already canonical
+        y = Factor(labels)
+        labels[:] = 1
+        assert y.labels.tolist() == [0, 1, 1, 0] and y.num_atoms == 2
 
     def test_in_range_labels_are_counted_not_sorted(self, monkeypatch):
         calls = []
