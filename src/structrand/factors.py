@@ -196,8 +196,8 @@ class Refinement:
         self.keep()
 
     def _condition(self):
-        self.f_str = conditional_expectation(self.space, self.f, self.factor)
-        self.energy = _atom_averages(self.space, self.weighted_f, self.factor)[1]
+        averages, self.energy = _atom_averages(self.space, self.weighted_f, self.factor)
+        self.f_str = averages[self.factor.labels]
 
     def _check_majorant(self, members):
         if self.majorant is not None:

@@ -35,18 +35,18 @@ PAIR_SWEEPS = 25  # alternation rounds per pair-search start
 
 
 def graph_from_edges(n: int, edges) -> np.ndarray:
-    """Symmetric 0/1 adjacency matrix with an empty diagonal."""
+    """Symmetric 0/1 adjacency matrix with an empty diagonal (self-loops dropped)."""
     if n > MAX_GRAPH_N:
         raise BudgetExceededError(f"n = {n} exceeds the graph cap {MAX_GRAPH_N}")
+    ends = np.asarray(edges).reshape(-1, 2)  # object dtype holds indices past int64
+    outside = ((ends < 0) | (ends >= n)).any(axis=1)
+    if outside.any():
+        u, v = ends[np.argmax(outside)]
+        raise PreconditionError(f"edge ({int(u)}, {int(v)}) outside 0..{n - 1}")
+    u, v = ends.T.astype(np.intp)
     g = np.zeros((n, n))
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if not (0 <= u < n and 0 <= v < n):
-            raise PreconditionError(f"edge ({u}, {v}) outside 0..{n - 1}")
-        if u == v:
-            continue
-        g[u, v] = 1.0
-        g[v, u] = 1.0
+    g[u, v] = g[v, u] = 1.0
+    np.fill_diagonal(g, 0.0)
     return g
 
 
@@ -106,12 +106,22 @@ def _best_b_given_cols(colsums):
     return vminus, neg
 
 
+def _best_sides(sums):
+    """Row by row, the better sign's value and mask, as _best_b_given_cols."""
+    plus = np.where(sums > 0, sums, 0.0).sum(axis=1)
+    minus = np.where(sums < 0, sums, 0.0).sum(axis=1)
+    take_plus = plus >= -minus
+    return np.where(take_plus, plus, minus), np.where(take_plus[:, None], sums > 0, sums < 0)
+
+
 class CutAtomSet(AtomSet):
     """Cut products searched by alternating maximization.
 
     For n <= 12 the search enumerates every A (the optimal B given A is
     closed-form), so scans are definitive; beyond that it runs CUT_STARTS
     random restarts plus the all-vertices start and is flagged heuristic.
+    The starts run as one batch: each half-sweep is one matrix product for
+    all of them, and each distinct (A, B) they end on becomes one atom.
     """
 
     max_candidates = 32
@@ -142,36 +152,32 @@ class CutAtomSet(AtomSet):
         strength = np.maximum(vplus, -vminus) / (self.n * self.n)
         return masks, cols, strength
 
-    def _alternate(self, f, a_bool):
-        prev = 0.0
-        for _ in range(CUT_SWEEPS):
-            cols = a_bool.astype(float) @ f
-            v, b_bool = _best_b_given_cols(cols)
-            rows = f @ b_bool.astype(float)
-            v2, a_new = _best_b_given_cols(rows)
-            if abs(v2) <= abs(prev) + 1e-15:
-                break
-            a_bool = a_new
-            prev = v2
-        cols = a_bool.astype(float) @ f
-        value, b_bool = _best_b_given_cols(cols)
-        return a_bool, b_bool, value / (self.n * self.n)
-
     def _heuristic_pool(self, f):
+        """Alternating maximization from every start at once: a sweep takes
+        the best B for each row's A, then the best A for that B, and a row
+        stops (keeping its A) once its value no longer grows."""
         rng = np.random.default_rng(self.seed)
-        found = {}
         starts = [np.ones(self.n, dtype=bool)]
         starts += [rng.random(self.n) < 0.5 for _ in range(CUT_STARTS)]
-        for a0 in starts:
-            if not a0.any():
-                continue
-            a_bool, b_bool, _ = self._alternate(f, a0.copy())
-            if not a_bool.any() or not b_bool.any():
-                continue
-            atom = self._atom(a_bool, b_bool)
-            ip = float(atom.values().ravel() @ f.ravel() / f.size)
-            found[atom] = ip
-        return sorted(found.items(), key=lambda kv: -abs(kv[1]))
+        a = np.array([a0 for a0 in starts if a0.any()], dtype=float)
+        prev = np.zeros(len(a))
+        live = np.arange(len(a))
+        for _ in range(CUT_SWEEPS):
+            b = _best_sides(a[live] @ f)[1]
+            v2, a_new = _best_sides(b.astype(float) @ f.T)
+            grew = np.abs(v2) > np.abs(prev[live]) + 1e-15
+            live = live[grew]
+            a[live], prev[live] = a_new[grew], v2[grew]
+            if not live.size:
+                break
+        b = _best_sides(a @ f)[1]
+        pairs = {}  # distinct (A, B) in start order
+        for a_bool, b_bool in zip(a > 0, b):
+            if a_bool.any() and b_bool.any():
+                pairs.setdefault(a_bool.tobytes() + b_bool.tobytes(), (a_bool, b_bool))
+        found = [self._atom(a_bool, b_bool) for a_bool, b_bool in pairs.values()]
+        found = [(atom, float(atom.values().ravel() @ f.ravel() / f.size)) for atom in found]
+        return sorted(found, key=lambda kv: -abs(kv[1]))
 
     def scan(self, f):
         f = np.asarray(f, dtype=float)
@@ -254,15 +260,12 @@ def _pair_witness(rows, cols, block, sel_r, sel_c, delta, eps):
 
 
 def _greedy_side(values, slack, minimum):
-    """Entries maximizing sum(values - slack) subject to a minimum count."""
+    """Entries maximizing sum(values - slack) subject to a minimum count: the
+    shortest best prefix, of at least that count, in descending order."""
     order = np.argsort(-(values - slack))
-    best_val, best_k = -np.inf, max(1, minimum)
-    running = 0.0
-    for rank, j in enumerate(order, start=1):
-        running += values[j] - slack
-        if rank >= max(1, minimum) and running > best_val:
-            best_val, best_k = running, rank
-    return order[:best_k]
+    first = max(1, minimum)
+    gains = np.cumsum(values[order] - slack)
+    return order[: first + int(np.argmax(gains[first - 1 :]))]
 
 
 def _exact_search(rows, cols, block, delta, eps, m_a, m_b):

@@ -7,18 +7,21 @@ Everything numeric round-trips through JSON except the two binary formats
 from __future__ import annotations
 
 import json
+import re
 import struct
+import sys
 
 import numpy as np
 
 from .errors import PreconditionError
 
 
-def _text_lines(path, what):
-    """The lines of a text file; bytes that are not UTF-8 are a PreconditionError."""
+def _read_text(path, what):
+    """The text of a file, newlines translated; bytes that are not UTF-8 are a
+    PreconditionError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            yield from fh
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise PreconditionError(f"{what} file {path} is not UTF-8 text: {exc}") from None
 
@@ -51,7 +54,7 @@ def save_vector_json(path, values):
 
 def load_vector_json(path) -> np.ndarray:
     try:
-        obj = json.loads("".join(_text_lines(path, "vector")))
+        obj = json.loads(_read_text(path, "vector"))
     except (ValueError, RecursionError) as exc:  # also too deep, or past int()'s digit limit
         raise PreconditionError(f"{path} is not JSON: {exc}") from None
     return vector_from_json(obj)
@@ -110,7 +113,7 @@ def save_subset_hex(path, points, n):
 
 def load_subset(path, n: int) -> list:
     """Subset from a JSON list of points or a hex bitmask file."""
-    stripped = "".join(_text_lines(path, "subset")).strip()
+    stripped = _read_text(path, "subset").strip()
     if not stripped.startswith("["):
         return subset_from_hex(stripped, n)
     try:
@@ -127,33 +130,40 @@ def load_subset(path, n: int) -> list:
 
 
 def save_edge_list(path, g):
-    g = np.asarray(g)
+    rows, cols = np.nonzero(np.triu(np.asarray(g), 1))
     with open(path, "w") as fh:
-        for u, v in zip(*np.nonzero(np.triu(g, 1))):
-            fh.write(f"{u} {v}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in zip(rows.tolist(), cols.tolist()))
+
+
+def _first_bad_line(text):
+    """The first line that is not blank, a '#' comment, or two decimal fields
+    that int() takes, apart by whitespace other than the newline."""
+    limit = sys.get_int_max_str_digits()
+    field = rf"\d{{1,{limit}}}" if limit else r"\d+"
+    return re.search(rf"^(?![^\S\n]*(?:#|{field}[^\S\n]+{field}[^\S\n]*$|$)).*", text, re.M)
 
 
 def load_edge_list(path, n: int | None = None):
     """(n, adjacency matrix) from 'u v' lines; n defaults to max index + 1."""
-    edges = []
-    for number, line in enumerate(_text_lines(path, "edge list"), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    text = _read_text(path, "edge list")
+    if bad := _first_bad_line(text):
+        number, line = text.count("\n", 0, bad.start()) + 1, bad.group().strip()
         fields = line.split()
-        if len(fields) != 2 or not all(x.isdecimal() for x in fields):
-            raise PreconditionError(f"edge list line {number} is not 'u v': {line!r}")
-        try:
-            edges.append((int(fields[0]), int(fields[1])))
-        except ValueError:  # an index past int()'s digit limit
-            raise PreconditionError(f"edge list line {number} has an overlong index") from None
+        if len(fields) == 2 and all(x.isdecimal() for x in fields):
+            raise PreconditionError(f"edge list line {number} has an overlong index")
+        raise PreconditionError(f"edge list line {number} is not 'u v': {line!r}")
+    tokens = re.sub(r"^[^\S\n]*#.*", "", text, flags=re.M).split()
+    try:
+        ends = np.array(tokens, dtype=np.int64)
+    except OverflowError:  # past int64, so past the graph cap; exact ints name it
+        ends = np.array([int(x) for x in tokens], dtype=object)
     if n is None:
-        n = 1 + max((max(u, v) for u, v in edges), default=-1)
+        n = 1 + int(ends.max(initial=-1))
     if n < 1:
         raise PreconditionError("edge list has no vertices")
     from .graphs import graph_from_edges
 
-    return n, graph_from_edges(n, edges)
+    return n, graph_from_edges(n, ends)
 
 
 def save_adjacency_binary(path, g):

@@ -312,3 +312,110 @@ def naive_staged_factor_split(weights, members, f, eps, growth):
         if gain <= eps * eps + 1e-12:
             return stages, max(levels)
         m_prev = width * width
+
+
+def naive_best_sides(sums):
+    """(value, mask) of the better sign for a vector of column (or row) sums:
+    all positive entries if they outweigh the negative ones, else all
+    negative entries."""
+    pos, neg = sums > 0, sums < 0
+    vplus, vminus = float(sums[pos].sum()), float(sums[neg].sum())
+    return (vplus, pos) if vplus >= -vminus else (vminus, neg)
+
+
+def naive_cut_pool(f, seed, starts, sweeps):
+    """The heuristic cut search one start at a time: ((A, B), <f, 1_{AxB}>)
+    for each distinct pair the starts end on, strongest first, earlier start
+    first on ties.
+
+    The starts are V and then ``starts`` draws of rng.random(n) < 0.5 (empty
+    ones skipped).  Each sweep takes the best B for the current A, then the
+    best A for that B, and stops, keeping A, once the value no longer grows
+    by more than 1e-15; at most ``sweeps`` sweeps.
+    """
+    n = f.shape[0]
+    rng = np.random.default_rng(seed)
+    draws = [np.ones(n, dtype=bool)] + [rng.random(n) < 0.5 for _ in range(starts)]
+    found = {}
+    for a_bool in draws:
+        if not a_bool.any():
+            continue
+        prev = 0.0
+        for _ in range(sweeps):
+            b_bool = naive_best_sides(a_bool.astype(float) @ f)[1]
+            value, a_new = naive_best_sides(f @ b_bool.astype(float))
+            if abs(value) <= abs(prev) + 1e-15:
+                break
+            a_bool, prev = a_new, value
+        b_bool = naive_best_sides(a_bool.astype(float) @ f)[1]
+        if not a_bool.any() or not b_bool.any():
+            continue
+        key = (tuple(np.flatnonzero(a_bool).tolist()), tuple(np.flatnonzero(b_bool).tolist()))
+        if key not in found:
+            found[key] = float(np.outer(a_bool, b_bool).astype(float).ravel() @ f.ravel() / f.size)
+    return sorted(found.items(), key=lambda kv: -abs(kv[1]))
+
+
+def naive_greedy_side(values, slack, minimum):
+    """Indices, in descending order of values - slack, of the shortest prefix
+    of at least max(1, minimum) of them with the largest sum of
+    values - slack, the sum kept as a running total."""
+    order = np.argsort(-(values - slack))
+    best_val, best_k = -math.inf, max(1, minimum)
+    running = 0.0
+    for rank, j in enumerate(order, start=1):
+        running += values[j] - slack
+        if rank >= max(1, minimum) and running > best_val:
+            best_val, best_k = running, rank
+    return order[:best_k]
+
+
+class EdgeListRefused(Exception):
+    """naive_edge_list refuses the file: ``budget`` marks the graph cap, and
+    ``detail`` is the text the refusal names ("line 3 ", "edge (0, 9)
+    outside", or "" when it names neither)."""
+
+    def __init__(self, budget, detail=""):
+        super().__init__(detail)
+        self.budget, self.detail = budget, detail
+
+
+def naive_edge_list(path, n=None, cap=4096):
+    """(n, adjacency matrix) from a 'u v' edge list, one line at a time.
+
+    Lines are read as UTF-8 with universal newlines and stripped; blank lines
+    and lines starting with '#' are skipped, every other line must be two
+    decimal fields that int() converts.  n defaults to the largest index
+    plus one; n past ``cap`` is refused before any edge is checked, an edge
+    outside 0..n-1 is refused, and self-loops are dropped.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        raise EdgeListRefused(False) from None
+    edges = []
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2 or not all(x.isdecimal() for x in fields):
+            raise EdgeListRefused(False, f"line {number} ")
+        try:
+            edges.append((int(fields[0]), int(fields[1])))
+        except ValueError:  # past int()'s digit limit
+            raise EdgeListRefused(False, f"line {number} ") from None
+    if n is None:
+        n = 1 + max((max(u, v) for u, v in edges), default=-1)
+    if n < 1:
+        raise EdgeListRefused(False)
+    if n > cap:
+        raise EdgeListRefused(True)
+    g = np.zeros((n, n))
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeListRefused(False, f"edge ({u}, {v}) outside")
+        if u != v:
+            g[u, v] = g[v, u] = 1.0
+    return n, g

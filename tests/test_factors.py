@@ -223,21 +223,23 @@ class TestAtomSumNorms:
 
 
 class TestScanShape:
-    """A stock scan builds no length-N E(f | Y); the split builds one E(f | .)
-    for the starting factor and one per join."""
+    """A stock scan takes no atom sums over a factor outside the stock; the
+    split takes one pass over the starting factor and one per join, which
+    gives both E(f | .) and its energy."""
 
     @staticmethod
-    def count_conditional_expectations(monkeypatch):
+    def count_factor_passes(monkeypatch, family):
         import structrand.factors as factors
 
         calls = []
-        original = factors.conditional_expectation
+        original = factors._atom_averages
         monkeypatch.setattr(
             factors,
-            "conditional_expectation",
+            "_atom_averages",
             lambda *args: calls.append(args[2]) or original(*args),
         )
-        return calls
+        outside = lambda: [y for y in calls if not any(y is member for member in family)]
+        return calls, outside
 
     def test_scan_and_split_counts(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -246,18 +248,18 @@ class TestScanShape:
         f = 0.6 * (labels[0] - 0.5) + 0.3 * (labels[1] - 0.5) + 0.15 * rng.standard_normal(48)
         f /= space.l2(f)
         family = FactorFamily([Factor(lab) for lab in labels])
-        calls = self.count_conditional_expectations(monkeypatch)
+        calls, passes = self.count_factor_passes(monkeypatch, family)
         assert family.projections(space, f).size == 6
         projection_norm(space, f, family[0])
-        assert calls == []
+        assert len(calls) == 7 and passes() == []  # one pass per member scanned
         dec = strong_factor_decompose(space, f, family, 0.1, GrowthFunction.linear(2, offset=1))
         joins = sum(stage["joins"] for stage in dec.stages)
         assert joins >= 2
-        assert len(calls) == 1 + joins
-        assert calls[0] == Factor.trivial(48)
-        calls.clear()
+        assert len(passes()) == 1 + joins
+        assert passes()[0] == Factor.trivial(48)
+        count = len(passes())
         dec.verify(space, f, family)
-        assert calls == [dec.factor]
+        assert passes()[count:] == [dec.factor]
 
     def test_swapped_labels_tie_to_lower_index(self):
         # a half-interval and its complement are one partition with the labels

@@ -18,8 +18,16 @@ from structrand import (
     szemeredi_regularize,
     weak_regularize,
 )
+from structrand.graphs import CUT_STARTS, CUT_SWEEPS, _greedy_side
+from structrand.hilbert import weak_decompose
 
-from oracles import count_edges, naive_best_cut, naive_regular_pair
+from oracles import (
+    count_edges,
+    naive_best_cut,
+    naive_cut_pool,
+    naive_greedy_side,
+    naive_regular_pair,
+)
 
 
 def half_graph(k):
@@ -93,6 +101,58 @@ class TestCutAtomSearch:
         scan = CutAtomSet(20).scan(f)
         assert not scan.exact
         assert scan.upper >= scan.lower
+
+
+class TestHeuristicCutPool:
+    """The batched heuristic search ranks exactly the atoms, floats and order
+    of the one-start-at-a-time search."""
+
+    @staticmethod
+    def assert_matches_oracle(f, seed):
+        scan = CutAtomSet(f.shape[0], seed=seed).scan(f)
+        assert not scan.exact
+        got = [((tuple(sorted(a.a)), tuple(sorted(a.b))), ip) for a, ip in scan.ranking]
+        expected = naive_cut_pool(f, seed, CUT_STARTS, CUT_SWEEPS)
+        assert got == expected[: CutAtomSet.max_candidates]
+
+    @staticmethod
+    def graphs(n, seed):
+        rng = np.random.default_rng(seed)
+        block = np.arange(n) * 3 // n
+        p = np.where(block[:, None] == block[None, :], 0.7, 0.3)
+        upper = np.triu(rng.random((n, n)) < p, 1).astype(float)
+        return gnp_random_graph(n, 0.5, rng), upper + upper.T
+
+    @pytest.mark.parametrize("n, seed", [(13, 0), (24, 1), (40, 2), (64, 3)])
+    def test_graphs_and_centred_graphs(self, n, seed):
+        for g in self.graphs(n, seed):
+            self.assert_matches_oracle(g, seed)
+            self.assert_matches_oracle(g - g.mean(), seed)
+
+    @pytest.mark.parametrize("n, seed", [(13, 4), (32, 5), (64, 6)])
+    def test_residuals_after_one_weak_step(self, n, seed):
+        for g in self.graphs(n, seed):
+            key, c = weak_decompose(g, CutAtomSet(n, seed=seed), 0.1).atoms[0]
+            self.assert_matches_oracle(g - c * key.values(), seed)
+
+
+GREEDY_VALUES = st.one_of(
+    st.integers(-4, 4).map(lambda k: k / 2),  # exact sums, so ties between prefixes
+    st.floats(-3, 3, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(GREEDY_VALUES, min_size=1, max_size=14),
+    slack=st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 1.3]),
+    data=st.data(),
+)
+def test_greedy_side_matches_running_sum(values, slack, data):
+    minimum = data.draw(st.integers(0, len(values)))
+    values = np.array(values)
+    expected = naive_greedy_side(values, slack, minimum)
+    assert np.array_equal(_greedy_side(values, slack, minimum), expected)
 
 
 class TestRegularPairCheck:

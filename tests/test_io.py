@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ from structrand.io import (
     vector_from_json,
     vector_to_json,
 )
+from structrand.graphs import MAX_GRAPH_N
+
+from oracles import EdgeListRefused, naive_edge_list
 
 
 class TestVectorFormats:
@@ -134,3 +138,68 @@ def test_fuzzed_text_input_loads_or_is_refused(tmp_path, raw, loader):
         pass
     except BudgetExceededError as exc:  # an edge list naming a vertex past the graph cap
         assert loader == "edge list" and "graph cap" in str(exc)
+
+
+# Edge lists built from the pieces the format allows and the ones it refuses.
+SPACES = " \t\x0b\x0c\x1c\x85\xa0\u2003\u3000"  # non-newline whitespace, ASCII or not
+SMALL = st.integers(0, 12).map(str)
+INDICES = st.one_of(
+    SMALL, SMALL, SMALL, SMALL,
+    st.integers(0, 12).map(lambda k: f"00{k}"),  # leading zeros
+    st.sampled_from([
+        "\u0663", "\uff10", "\u0967\u0968",  # Unicode decimal digits: 3, 0, 12
+        "4096", "5000",  # past the graph cap
+        "9" * 19, "9" * 25,  # past int64
+        "7".rjust(4300, "0"),  # int()'s digit limit exactly
+    ]),
+)
+OVERLONG = st.sampled_from(["7".rjust(4301, "0"), "9" * 4400])  # past int()'s digit limit
+_WS = st.text(alphabet=SPACES, max_size=2)
+_GAP = st.text(alphabet=SPACES, min_size=1, max_size=2)
+EDGE_LINE = st.tuples(_WS, INDICES, _GAP, INDICES, _WS).map("".join)
+SKIPPED_LINE = st.one_of(
+    _WS,  # blank
+    st.tuples(_WS, st.just("#"), st.text(alphabet="ab 01#\t", max_size=6)).map("".join),
+)
+REFUSED_LINE = st.one_of(
+    st.tuples(_WS, INDICES, _WS).map("".join),  # one field
+    st.tuples(INDICES, _GAP, INDICES, _GAP, INDICES).map("".join),  # three fields
+    st.tuples(INDICES, _GAP, st.sampled_from(["x", "-1", "+2", "1.0", "1_0", "\xb2"])).map("".join),
+    st.tuples(_WS, OVERLONG, _GAP, INDICES).map("".join),
+    st.tuples(_WS, INDICES, _GAP, OVERLONG, _WS).map("".join),
+)
+
+
+@st.composite
+def edge_texts(draw):
+    """Up to eight edge, blank or comment lines, and at most one refused line."""
+    lines = draw(st.lists(st.one_of(EDGE_LINE, EDGE_LINE, SKIPPED_LINE), max_size=8))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(REFUSED_LINE))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    text=edge_texts(),
+    tail=st.sampled_from(["", "0 1", "# end", "\xff"]),  # last line unterminated, or not UTF-8
+    n=st.one_of(st.none(), st.integers(0, 14), st.just(5000)),
+)
+def test_edge_list_matches_line_by_line_oracle(tmp_path, text, tail, n):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(text.encode() + (b"\xff" if tail == "\xff" else tail.encode()))
+    try:
+        expected = naive_edge_list(path, n, cap=MAX_GRAPH_N)
+    except EdgeListRefused as refused:
+        cls = BudgetExceededError if refused.budget else PreconditionError
+        with pytest.raises((PreconditionError, BudgetExceededError)) as info:
+            load_edge_list(path, n)
+        assert type(info.value) is cls
+        message = str(info.value)
+        assert refused.detail in message
+        assert bool(re.search(r"\bline \d+ ", message)) == refused.detail.startswith("line")
+        return
+    got_n, got = load_edge_list(path, n)
+    assert got_n == expected[0]
+    assert np.array_equal(got, expected[1])
