@@ -183,12 +183,12 @@ def edge_texts(draw):
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     text=edge_texts(),
-    tail=st.sampled_from(["", "0 1", "# end", "\xff"]),  # last line unterminated, or not UTF-8
+    tail=st.sampled_from([b"", b"0 1", b"# end", b"\xff"]),  # last line unterminated, or not UTF-8
     n=st.one_of(st.none(), st.integers(0, 14), st.just(5000)),
 )
 def test_edge_list_matches_line_by_line_oracle(tmp_path, text, tail, n):
     path = tmp_path / "edges.txt"
-    path.write_bytes(text.encode() + (b"\xff" if tail == "\xff" else tail.encode()))
+    path.write_bytes(text.encode() + tail)
     try:
         expected = naive_edge_list(path, n, cap=MAX_GRAPH_N)
     except EdgeListRefused as refused:
