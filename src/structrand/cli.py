@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _stdio
 import json
 import logging
@@ -419,6 +420,7 @@ OPTIONS = {
 REPORT_SCHEMA_VERSION = 2
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="structrand",

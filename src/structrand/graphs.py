@@ -9,6 +9,7 @@ beyond).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -86,13 +87,16 @@ class CutAtom:
         return {"A": sorted(self.a), "B": sorted(self.b)}
 
 
-def _subset_sums(block):
-    """(masks, masks @ block): row a of masks is the 0/1 indicator of the bits
-    of a, so row a of the product sums the block's rows over that subset."""
-    k = block.shape[0]
+@functools.cache
+def _subset_table(k):
+    """(masks, sizes) for the 2^k subsets of k items, built once per k and
+    shared read-only: row a of masks is the 0/1 indicator of the bits of a,
+    and sizes[a] is its bit count."""
     bytes_le = np.arange(1 << k, dtype="<u4").view(np.uint8).reshape(-1, 4)
     masks = np.unpackbits(bytes_le, axis=1, count=k, bitorder="little").astype(float)
-    return masks, masks @ block
+    sizes = np.bitwise_count(np.arange(1 << k, dtype=np.uint64)).astype(float)
+    masks.flags.writeable = sizes.flags.writeable = False
+    return masks, sizes
 
 
 def _best_b_given_cols(colsums):
@@ -146,7 +150,8 @@ class CutAtomSet(AtomSet):
         )
 
     def _exhaustive(self, f):
-        masks, cols = _subset_sums(f)  # row a-mask -> column sums over A
+        masks = _subset_table(self.n)[0]
+        cols = masks @ f  # row a-mask -> column sums over A
         vplus = np.maximum(cols, 0.0).sum(axis=1)
         vminus = np.minimum(cols, 0.0).sum(axis=1)
         strength = np.maximum(vplus, -vminus) / (self.n * self.n)
@@ -271,38 +276,70 @@ def _greedy_side(values, slack, minimum):
 def _exact_search(rows, cols, block, delta, eps, m_a, m_b):
     """Every row subset A' of at least m_a rows, each with its best B' in
     closed form: sort the columns by e(A', {w}) - delta |A'| and take the best
-    prefix of at least m_b of them, for either sign of the deviation."""
-    sums = _subset_sums(block)[1]
-    sizes = np.bitwise_count(np.arange(len(sums), dtype=np.uint64)).astype(float)
-    t = sums - delta * sizes[:, None]  # t[mask, w] = e(A', {w}) - delta |A'|
-    slack = eps * sizes[:, None]
+    prefix of at least m_b of them, for either sign of the deviation.
+
+    Both signs' scores are monotone in the column sums e(A', {w}), so one sort
+    of the sums orders both.  The sorted sums are read as |cols| x 2^|rows|,
+    so each prefix-sum step and the maxima run across all subsets at once."""
+    masks, sizes = _subset_table(len(rows))
+    sums = masks @ block  # sums[mask, w] = e(A', {w})
+    shift, slack = delta * sizes, eps * sizes
+    ranked = np.sort(sums, axis=1)
+    np.subtract(ranked, shift[:, None], out=ranked)  # t = sums - shift, ascending
+    t_desc = ranked.T[::-1]  # t_desc[j, mask]: the (j+1)-th largest t of A'
+    prefix = np.empty(t_desc.shape)  # one work array, written in place below
     admissible = sizes >= m_a
     checked = 0
     for side in (+1, -1):
-        scores = t - slack if side > 0 else -(t + slack)
-        prefix = np.cumsum(-np.sort(-scores, axis=1), axis=1)
-        best = np.max(prefix[:, m_b - 1 :], axis=1)
+        # descending scores: t - slack, or -(t + slack) = -slack - t
+        if side > 0:
+            np.subtract(t_desc, slack, out=prefix)
+        else:
+            np.subtract(-slack, t_desc[::-1], out=prefix)
+        for j in range(1, len(prefix)):  # cumsum along the rows, in place
+            np.add(prefix[j - 1], prefix[j], out=prefix[j])
+        best = np.max(prefix[m_b - 1 :], axis=0)
         best[~admissible] = -np.inf
         checked += int(np.count_nonzero(admissible))
         violating = np.flatnonzero(best > 1e-9)
         if violating.size:
             mask = int(violating[np.argmax(best[violating])])
             sel_r = np.flatnonzero((mask >> np.arange(len(rows))) & 1)
-            sel_c = _greedy_side(side * t[mask], eps * sel_r.size, m_b)
+            t_mask = sums[mask] - shift[mask]
+            sel_c = _greedy_side(side * t_mask, eps * sel_r.size, m_b)
             return _pair_witness(rows, cols, block, sel_r, sel_c, delta, eps), checked
     return None, checked
 
 
+def _uniform_subsets(rng, k, sizes):
+    """0/1 rows, row i a uniform subset of sizes[i] of k items: the items
+    whose ranks in one row of a uniform random matrix fall below the size."""
+    order = np.argsort(rng.random((len(sizes), k)), axis=1)
+    masks = np.empty((len(sizes), k))
+    np.put_along_axis(masks, order, np.arange(k) < sizes[:, None], axis=1)
+    return masks
+
+
+def _sampled_draws(block, m_a, m_b, rng, samples):
+    """(row masks, column masks, edge counts) of ``samples`` uniformly drawn
+    sub-pairs of admissible sizes, one per row; all the sizes are drawn first."""
+    ka = rng.integers(m_a, block.shape[0] + 1, size=samples)
+    kb = rng.integers(m_b, block.shape[1] + 1, size=samples)
+    r = _uniform_subsets(rng, block.shape[0], ka)
+    c = _uniform_subsets(rng, block.shape[1], kb)
+    return r, c, ((r @ block) * c).sum(axis=1)
+
+
 def _sampled_search(rows, cols, block, delta, eps, m_a, m_b, rng, samples):
-    """``samples`` uniformly drawn sub-pairs of admissible sizes."""
-    for _ in range(samples):
-        ka = int(rng.integers(m_a, len(rows) + 1))
-        kb = int(rng.integers(m_b, len(cols) + 1))
-        sel_r = rng.choice(len(rows), size=ka, replace=False)
-        sel_c = rng.choice(len(cols), size=kb, replace=False)
-        edges = float(block[np.ix_(sel_r, sel_c)].sum())
-        if abs(edges - delta * ka * kb) > eps * ka * kb + 1e-9:
-            return _pair_witness(rows, cols, block, sel_r, sel_c, delta, eps), samples
+    """``samples`` uniformly drawn sub-pairs of admissible sizes; the witness
+    is the first violating draw."""
+    r, c, edges = _sampled_draws(block, m_a, m_b, rng, samples)
+    ka, kb = r.sum(axis=1), c.sum(axis=1)
+    violating = np.flatnonzero(np.abs(edges - delta * ka * kb) > eps * ka * kb + 1e-9)
+    if violating.size:
+        i = violating[0]
+        sel_r, sel_c = np.flatnonzero(r[i]), np.flatnonzero(c[i])
+        return _pair_witness(rows, cols, block, sel_r, sel_c, delta, eps), samples
     return None, samples
 
 

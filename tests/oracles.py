@@ -165,6 +165,46 @@ def naive_regular_pair(g, rows, cols, eps):
     return ("irregular" if worst else "regular"), worst
 
 
+def naive_exact_search(g, rows, cols, eps):
+    """The exact pair search with one full sort per sign of the deviation.
+
+    For every row subset A' of at least ceil(eps |rows|) rows the columns are
+    scored by t = e(A', {w}) - delta |A'|, less eps |A'| (or the negation of
+    t + eps |A'| for the other sign), sorted in descending order and summed
+    as prefixes of at least ceil(eps |cols|) columns.  The first sign whose
+    best prefix exceeds 1e-9 gives the witness: the subset with the largest
+    best (lowest mask on ties), with its columns from naive_greedy_side.
+    Returns (status, witness rows, witness cols, checked), the witness in
+    ascending vertex order, or None for both on a regular pair.
+    """
+    rows, cols = list(rows), list(cols)
+    k = len(rows)
+    block = np.array([[float(g[u][v]) for v in cols] for u in rows])
+    delta = block.mean()
+    m_a = max(1, math.ceil(eps * k - 1e-12))
+    m_b = max(1, math.ceil(eps * len(cols) - 1e-12))
+    masks = np.array([[(a >> i) & 1 for i in range(k)] for a in range(1 << k)], dtype=float)
+    sizes = masks.sum(axis=1)
+    t = masks @ block - delta * sizes[:, None]
+    slack = eps * sizes[:, None]
+    admissible = sizes >= m_a
+    checked = 0
+    for side in (1, -1):
+        scores = t - slack if side > 0 else -(t + slack)
+        prefix = np.cumsum(-np.sort(-scores, axis=1), axis=1)
+        best = np.max(prefix[:, m_b - 1 :], axis=1)
+        best[~admissible] = -np.inf
+        checked += int(admissible.sum())
+        violating = np.flatnonzero(best > 1e-9)
+        if violating.size:
+            mask = int(violating[np.argmax(best[violating])])
+            sub_r = [i for i in range(k) if (mask >> i) & 1]
+            sub_c = naive_greedy_side(side * t[mask], eps * len(sub_r), m_b)
+            wit_r = sorted(rows[i] for i in sub_r)
+            return "irregular", wit_r, sorted(cols[j] for j in sub_c), checked
+    return "regular", None, None, checked
+
+
 def naive_best_cut(f):
     """Exhaustive max |<f, 1_{AxB}>| over all subset pairs (tiny n only)."""
     n = f.shape[0]

@@ -480,6 +480,29 @@ class TestCommandTable:
                 if option != "growth":
                     assert config[option] == default
 
+    def test_shared_parser_carries_nothing_between_calls(self, tmp_path):
+        """The parser is built once per process; each call's report must still
+        equal the report of a call on a freshly built parser."""
+        calls = [
+            ["decompose", "--gen", "random:n=5", "--eps", "0.5", "--variant", "weak", "--seed", "3"],
+            ["decompose", "--gen", "random:n=5"],
+            ["graph-reg", "--gen", "gnp:n=32,p=0.5", "--mode", "exact", "--eps", "0.4", "--m", "3"],
+            ["graph-reg", "--gen", "complete:n=32"],
+            ["gowers", "--gen", "random:n=4", "--format", "csv"],
+            ["gowers", "--gen", "random:n=4"],
+        ]
+        shared = []
+        for i, argv in enumerate(calls):
+            code, out = run_cli(argv, tmp_path, f"shared{i}.out")
+            assert code == 0
+            shared.append(out.read_text())
+        assert build_parser() is build_parser()
+        for i, argv in enumerate(calls):
+            build_parser.cache_clear()
+            code, out = run_cli(argv, tmp_path, f"fresh{i}.out")
+            assert code == 0
+            assert out.read_text() == shared[i], argv
+
     def test_strong_split_echoes_growth_preset(self, tmp_path):
         code, out = run_cli(["decompose", "--gen", "random:n=4"], tmp_path)
         assert code == 0

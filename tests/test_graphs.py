@@ -18,13 +18,14 @@ from structrand import (
     szemeredi_regularize,
     weak_regularize,
 )
-from structrand.graphs import CUT_STARTS, CUT_SWEEPS, _greedy_side
+from structrand.graphs import CUT_STARTS, CUT_SWEEPS, _greedy_side, _sampled_draws
 from structrand.hilbert import weak_decompose
 
 from oracles import (
     count_edges,
     naive_best_cut,
     naive_cut_pool,
+    naive_exact_search,
     naive_greedy_side,
     naive_regular_pair,
 )
@@ -264,6 +265,95 @@ def test_pair_verdict_properties(ka, kb, eps, mode, seed):
         assert verdict.status == naive_regular_pair(g, rows, cols, eps)[0]
     else:
         assert verdict.status in ("irregular", "unrefuted")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ka=st.integers(1, 12),
+    kb=st.integers(1, 12),
+    density=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 0.3, 0.9]),
+    eps=st.one_of(
+        st.sampled_from([0.125, 0.25, 0.5, 0.75]),  # dyadic: scores and prefixes tie exactly
+        st.integers(5, 95).map(lambda c: c / 100),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_search_matches_two_sort_oracle(ka, kb, density, eps, seed):
+    """One sort per check, shared by both signs, gives the oracle's status,
+    witness and checked count, ties between prefixes included."""
+    rng = np.random.default_rng(seed)
+    n = ka + kb
+    g = np.zeros((n, n))
+    g[:ka, ka:] = rng.random((ka, kb)) < density
+    g[ka:, :ka] = g[:ka, ka:].T
+    perm = rng.permutation(n).tolist()
+    g = g[np.ix_(np.argsort(perm), np.argsort(perm))]  # vertex perm[i] plays i
+    rows, cols = perm[:ka], perm[ka:]
+    verdict = regular_pair_check(g, rows, cols, eps, mode="exact")
+    status, wit_rows, wit_cols, checked = naive_exact_search(g, rows, cols, eps)
+    assert verdict.status == status
+    assert verdict.checked == checked
+    if status == "irregular":
+        assert list(verdict.witness.rows) == wit_rows
+        assert list(verdict.witness.cols) == wit_cols
+
+
+class TestSampledSearch:
+    """Sampled mode draws every sub-pair of a pair at once."""
+
+    @staticmethod
+    def pair(g, rows, cols, eps):
+        block = g[np.ix_(rows, cols)]
+        m_a = max(1, math.ceil(eps * len(rows) - 1e-12))
+        m_b = max(1, math.ceil(eps * len(cols) - 1e-12))
+        return block, float(block.mean()), m_a, m_b
+
+    @pytest.mark.parametrize("ka, kb, eps, seed", [(16, 16, 0.1, 0), (7, 13, 0.3, 1), (1, 5, 0.5, 2)])
+    def test_batched_counts_match_per_sample_loop(self, ka, kb, eps, seed):
+        rng = np.random.default_rng(seed)
+        g = gnp_random_graph(ka + kb, 0.5, rng)
+        block, _, m_a, m_b = self.pair(g, range(ka), range(ka, ka + kb), eps)
+        r, c, edges = _sampled_draws(block, m_a, m_b, np.random.default_rng(seed), 300)
+        assert r.shape == (300, ka) and c.shape == (300, kb)
+        assert set(np.unique(r)) <= {0.0, 1.0} and set(np.unique(c)) <= {0.0, 1.0}
+        assert (m_a <= r.sum(axis=1)).all() and (r.sum(axis=1) <= ka).all()
+        assert (m_b <= c.sum(axis=1)).all() and (c.sum(axis=1) <= kb).all()
+        for i in range(300):
+            count = count_edges(block, np.flatnonzero(r[i]), np.flatnonzero(c[i]))
+            assert edges[i] == count
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_witness_is_first_violating_draw(self, seed):
+        g = half_graph(12)
+        rows, cols, eps = list(range(12)), list(range(12, 24)), 0.2
+        block, delta, m_a, m_b = self.pair(g, rows, cols, eps)
+        r, c, _ = _sampled_draws(block, m_a, m_b, np.random.default_rng(seed), 50)
+        first = None
+        for i in range(50):
+            sub_r, sub_c = np.flatnonzero(r[i]), np.flatnonzero(c[i])
+            area = len(sub_r) * len(sub_c)
+            if abs(count_edges(block, sub_r, sub_c) - delta * area) > eps * area + 1e-9:
+                first = i
+                break
+        assert first is not None and first > 0  # the search has to pass draws over
+        verdict = regular_pair_check(g, rows, cols, eps, mode="sampled", samples=50, seed=seed)
+        assert verdict.status == "irregular" and verdict.checked == 50
+        assert verdict.witness.rows == tuple(rows[i] for i in np.flatnonzero(r[first]))
+        assert verdict.witness.cols == tuple(cols[j] for j in np.flatnonzero(c[first]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_half_graph_with_planted_deviation_refuted(self, seed):
+        # the first half of the rows against the second half of the columns
+        # holds every edge, against a pair density below 1/2
+        k = 24
+        g = half_graph(k)
+        verdict = regular_pair_check(
+            g, range(k), range(k, 2 * k), 0.1, mode="sampled", samples=200, seed=seed
+        )
+        assert verdict.status == "irregular"
+        w = verdict.witness
+        assert w.edges == count_edges(g, w.rows, w.cols)
+        assert w.deviation > w.threshold
 
 
 class TestSzemerediRegularize:
