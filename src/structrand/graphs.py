@@ -296,7 +296,7 @@ def _exact_search(rows, cols, block, delta, eps, m_a, m_b):
             np.subtract(t_desc, slack, out=prefix)
         else:
             np.subtract(-slack, t_desc[::-1], out=prefix)
-        for j in range(1, len(prefix)):  # cumsum along the rows, in place
+        for j in range(1, len(prefix)):  # cumsum by rows: np.cumsum(axis=0) goes lane by lane
             np.add(prefix[j - 1], prefix[j], out=prefix[j])
         best = np.max(prefix[m_b - 1 :], axis=0)
         best[~admissible] = -np.inf
