@@ -1,8 +1,9 @@
 """Splitting a subset of the cube along a subspace whose translates look flat.
 
 A random set needs no subspace at all (it is already Fourier-flat); a set
-built from a few affine conditions gets exactly those conditions back as the
-constraint basis, with every translate perfectly regular.
+built from a few affine conditions gets those conditions back, one refinement
+round per worst character of an irregular translate, with every translate
+perfectly regular in the end.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ print("irregular count exceeds budget?", not report.success)
 
 print("\n-- intersection of two affine conditions --")
 # density 1/4; the indicator is a combination of four characters with
-# coefficients 1/4, so a sharper eps is needed before they get collected
+# coefficients 1/4, so eps must be below 1/4 before a round adds one
 structured = ((character(n, 5) > 0) & (character(n, 96) > 0)).astype(float)
 report = arithmetic_regularize(structured, n, 0.1)
 print("constraints:", report.constraints)
@@ -40,4 +41,8 @@ for entry in report.entries:
 print("\n-- JSON certificate --")
 blob = report.to_json()
 print({k: blob[k] for k in ("codimension", "irregular_count", "success")})
-print("decomposition summary:", blob["decomposition"])
+for r in blob["rounds"]:
+    print(
+        f"  round at codimension {r['codimension']}: {r['irregular']} irregular, "
+        f"index energy {r['index_energy']:.4f}"
+    )

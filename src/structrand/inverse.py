@@ -160,13 +160,14 @@ def inverse_99(f, d: int, delta: float):
     check_budget(f"inverse_99 (d={d})", n, n * (d - 1))
     size = f.size
 
-    u = gowers_norm(f, d)
+    level, xi_arr, corr = _derivative_fits(f, d)
+    # ||f||_{U^d}^(2^d) = E_h ||f * f_h||_{U^(d-1)}^(2^(d-1)): the levels' mean power
+    u = float(np.mean(level ** (1 << (d - 1)))) ** (1.0 / (1 << d))
     if u < 1.0 - delta - NORM_ONE_TOL:
         logger.info("inverse_99 gate: ||f||_U%d = %.6f < 1 - %.4f", d, u, delta)
         return None
 
     shift_gate = 1.0 - float(np.sqrt(delta)) - NORM_ONE_TOL
-    level, xi_arr, corr = _derivative_fits(f, d)
     bit_arr = (corr < 0).astype(np.int64)
     good = level >= shift_gate
     frac = np.count_nonzero(good) / size

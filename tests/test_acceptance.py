@@ -44,7 +44,7 @@ from structrand import (
     weak_regularize,
 )
 from structrand.arithreg import arithmetic_regularize, coset_ids
-from structrand.cube import f2_matrix_rank
+from structrand.cube import f2_matrix_rank, f2_rank
 
 from oracles import naive_coset_bias
 
@@ -387,3 +387,62 @@ def test_16_level_set_projection_bound():
     assert violations == 0
     report(16, "level-set projection keeps correlation up to eps",
            "30000 checks, zero violations")
+
+
+def planted_subspace(rng, n, codim):
+    """Indicator of the kernel of ``codim`` random independent constraints."""
+    rows = []
+    while len(rows) < codim:
+        r = int(rng.integers(1, 1 << n))
+        if f2_rank(rows + [r]) > len(rows):
+            rows.append(r)
+    x = np.arange(1 << n)
+    inside = np.ones(1 << n, dtype=bool)
+    for r in rows:
+        inside &= np.array([bin(v).count("1") % 2 == 0 for v in x & r])
+    return inside, rows
+
+
+def check_recovered(f, n, eps, rows):
+    """The report cuts out exactly the planted subspace, and every coset's
+    witness character, recounted on the coset, gives its bias."""
+    rep = arithmetic_regularize(f, n, eps)
+    assert rep.success and rep.irregular_count == 0
+    assert rep.codimension == len(rows)
+    assert f2_rank(rep.constraints + rows) == len(rows)
+    ids = coset_ids(n, rep.constraints)
+    for cid, entry in enumerate(rep.entries):
+        members = ids == cid
+        signs = 1.0 - 2.0 * np.array([bin(x & entry.witness).count("1") % 2 for x in range(1 << n)])
+        recount = abs(np.mean((f[members] - entry.density) * signs[members]))
+        assert recount == pytest.approx(entry.max_bias, abs=1e-12)
+        assert entry.max_bias <= eps
+    gains = np.diff([r["index_energy"] for r in rep.rounds])
+    assert np.all(gains > eps**3)
+    return rep
+
+
+def test_17_planted_subspace():
+    started = time.monotonic()
+    for seed in range(3):
+        inside, rows = planted_subspace(np.random.default_rng(1700 + seed), 16, 3)
+        rep = check_recovered(inside.astype(float), 16, 0.1, rows)
+        assert [r["index_energy"] for r in rep.rounds] == [1 / 64, 1 / 32, 1 / 16, 1 / 8]
+    elapsed = time.monotonic() - started
+    assert elapsed < 60.0
+    report(17, "a planted codim-3 subspace is cut out exactly at n = 16",
+           f"3 seeds, 4 rounds each, {elapsed:.1f}s")
+
+
+def test_18_noisy_planted_subspace():
+    started = time.monotonic()
+    for seed in range(3):
+        rng = np.random.default_rng(1800 + seed)
+        inside, rows = planted_subspace(rng, 16, 2)
+        flips = rng.choice(1 << 16, size=(1 << 16) // 20, replace=False)
+        inside[flips] = ~inside[flips]
+        check_recovered(inside.astype(float), 16, 0.1, rows)
+    elapsed = time.monotonic() - started
+    assert elapsed < 60.0
+    report(18, "a codim-2 subspace with 5% of the cube flipped is cut out at n = 16",
+           f"3 seeds, {elapsed:.1f}s")

@@ -1,10 +1,21 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structrand import PreconditionError, arithmetic_regularize, character
+from structrand import (
+    BudgetExceededError,
+    CertificateError,
+    PreconditionError,
+    arithmetic_regularize,
+    character,
+)
+from structrand import arithreg
 from structrand.arithreg import coset_entries, coset_ids, indicator_from_set
+from structrand.cube import f2_rank
 
 from oracles import naive_coset_bias
 
@@ -111,3 +122,87 @@ class TestArithmeticRegularity:
     def test_rejects_bad_points(self):
         with pytest.raises(PreconditionError):
             indicator_from_set(3, [9])
+
+    def test_integer_indicator_read_as_indicator(self):
+        # a length-2^n array of 0s and 1s is an indicator whatever its dtype
+        n = 4
+        ones = np.zeros(1 << n, dtype=np.int64)
+        ones[:8] = 1
+        reports = [arithmetic_regularize(ones.astype(t), n, 0.1) for t in (int, float, bool)]
+        for report in reports:
+            assert report.constraints == [8]
+            assert [e.density for e in report.entries] == [1.0, 0.0]
+
+    def test_refuses_n_outside_cube_range_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                arithmetic_regularize([], 40, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(PreconditionError):
+            arithmetic_regularize([], -1, 0.1)
+
+
+def _noisy_subspace(rng, n, codim, flip):
+    """A random codim-``codim`` subspace with a ``flip`` share of the cube toggled."""
+    inside = np.ones(1 << n, dtype=bool)
+    for r in rng.integers(1, 1 << n, size=codim):
+        inside &= character(n, int(r)) > 0
+    return (inside ^ (rng.random(1 << n) < flip)).astype(float)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_refinement_rounds_and_witnesses(data, seed):
+    n = data.draw(st.integers(2, 10), label="n")
+    eps = data.draw(st.sampled_from([0.1, 0.2, 0.3]), label="eps")
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans(), label="planted"):
+        codim = data.draw(st.integers(1, min(3, n - 1)), label="codim")
+        f = _noisy_subspace(rng, n, codim, data.draw(st.sampled_from([0.0, 0.02, 0.05])))
+    else:
+        f = (rng.random(1 << n) < data.draw(st.sampled_from([0.2, 0.5]))).astype(float)
+    report = arithmetic_regularize(f, n, eps)
+    d = report.codimension
+    assert report.success and d <= n
+    assert report.irregular_count <= eps * 2**d + 1e-9
+    rounds = report.rounds
+    assert [r["codimension"] for r in rounds] == sorted({r["codimension"] for r in rounds})
+    assert rounds[-1]["codimension"] == d
+    assert rounds[-1]["irregular"] == report.irregular_count
+    for before, after in zip(rounds, rounds[1:]):
+        assert before["irregular"] > eps * 2 ** before["codimension"]
+        assert after["index_energy"] - before["index_energy"] > eps**3 - 1e-9
+    ids = coset_ids(n, report.constraints)
+    energy = 0.0
+    for cid, entry in enumerate(report.entries):
+        members = np.flatnonzero(ids == cid)
+        density = f[members].mean()
+        energy += density**2 / 2**d
+        recount = abs(np.mean((f[members] - density) * character(n, entry.witness)[members]))
+        assert recount == pytest.approx(entry.max_bias, abs=1e-12)
+        oracle = naive_coset_bias(f, [int(x) for x in members], entry.density)
+        assert entry.max_bias == pytest.approx(oracle, abs=1e-9)
+        assert entry.regular == (oracle <= eps + 1e-9)
+    assert rounds[-1]["index_energy"] == pytest.approx(energy, abs=1e-12)
+
+
+def test_energy_check_refuses_a_witness_that_gains_nothing(monkeypatch):
+    # split every irregular coset along a unit character outside the span of
+    # the constraints instead of its worst one: on the planted subspace
+    # that moves no density, so the round gains no index energy
+    n = 8
+    f = ((character(n, 0b10110000) > 0) & (character(n, 0b01101000) > 0)).astype(float)
+    table = arithreg.coset_entries
+
+    def weak_witnesses(g, n, basis, eps):
+        unit = next(1 << i for i in range(n) if f2_rank([*basis, 1 << i]) > len(basis))
+        entries = table(g, n, basis, eps)
+        return [e if e.regular else dataclasses.replace(e, witness=unit) for e in entries]
+
+    monkeypatch.setattr(arithreg, "coset_entries", weak_witnesses)
+    with pytest.raises(CertificateError):
+        arithmetic_regularize(f, n, 0.1)

@@ -472,7 +472,7 @@ class TestCommandTable:
             code, out = run_cli(argv, tmp_path)
             assert code == 0
             report = json.loads(out.read_text())
-            assert report["schema_version"] == 2
+            assert report["schema_version"] == 3
             config = report["config"]
             assert set(config) == settable(parsers[command]) - {"out", "format"}
             assert config["gen"] is not None

@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from structrand import (
@@ -10,6 +10,7 @@ from structrand import (
     PreconditionError,
     character,
     correlation_search,
+    gowers_norm,
     inverse_99,
     inverse_100,
     reed_muller_atoms,
@@ -211,3 +212,41 @@ class TestCorrelationSearch:
             naive_inner(atoms.atom_vector(i), f) for i in range(len(atoms))
         )
         assert corr == pytest.approx(best, abs=1e-12)
+
+
+class _GateValues(logging.Handler):
+    """Collects the norm that inverse_99's gate logs when it refuses."""
+
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.values = []
+
+    def emit(self, record):
+        if record.msg.startswith("inverse_99 gate"):
+            self.values.append(record.args[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_gate_norm_matches_gowers_norm(data, seed):
+    # the gate reads ||f||_{U^d} off the derivative fits; at delta = 0 every
+    # f with norm below 1 is refused, and the refusal logs the value it used
+    d = data.draw(st.sampled_from([2, 3]), label="d")
+    n = data.draw(st.integers(2, 10 if d == 2 else 7), label="n")
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans(), label="planted"):
+        _, _, f = planted_noisy_code(rng, n, [(0,), (0, n - 1)], 0.05)
+    else:
+        f = np.where(rng.random(1 << n) < 0.5, -1.0, 1.0)
+    expected = gowers_norm(f, d)
+    assume(expected < 1.0 - 1e-6)
+    logger = logging.getLogger("structrand.inverse")
+    handler, level = _GateValues(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        assert inverse_99(f, d, 0.0) is None
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert handler.values == [pytest.approx(expected, abs=1e-12)]
