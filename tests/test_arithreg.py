@@ -128,8 +128,8 @@ class TestArithmeticRegularity:
         n = 4
         ones = np.zeros(1 << n, dtype=np.int64)
         ones[:8] = 1
-        reports = [arithmetic_regularize(ones.astype(t), n, 0.1) for t in (int, float, bool)]
-        for report in reports:
+        for dtype in (int, float, bool):
+            report = arithmetic_regularize(ones.astype(dtype), n, 0.1)
             assert report.constraints == [8]
             assert [e.density for e in report.entries] == [1.0, 0.0]
 
