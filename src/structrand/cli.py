@@ -257,8 +257,10 @@ def cmd_arith_reg(args, rng) -> tuple[dict, list]:
     if args.input is not None:
         if args.n is None:
             raise PreconditionError("--n is required with --input for arith-reg")
-        if not 0 <= args.n <= MAX_CUBE_N:
-            raise PreconditionError(f"--n must lie in 0..{MAX_CUBE_N}")
+        if args.n < 0:
+            raise PreconditionError(f"--n must be non-negative, got {args.n}")
+        if args.n > MAX_CUBE_N:
+            raise BudgetExceededError(f"n = {args.n} exceeds the cube cap {MAX_CUBE_N}")
         n = args.n
         f = indicator_from_set(n, load_subset(args.input, n))
     else:

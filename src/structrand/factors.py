@@ -30,6 +30,9 @@ class FiniteProbabilitySpace:
             raise PreconditionError("weights must be non-negative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise PreconditionError(f"weights sum to {w.sum()}, not 1")
+        self._adopt(w)
+
+    def _adopt(self, w):
         self.weights = w
         self.size = w.size
         live = w > 0
@@ -38,6 +41,15 @@ class FiniteProbabilitySpace:
     @classmethod
     def uniform(cls, n: int):
         return cls(np.full(n, 1.0 / n))
+
+    @classmethod
+    def quotient(cls, space, factor):
+        """The atoms of ``factor`` as points, weighted by their masses under
+        ``space``.  The masses sum to one only up to rounding, which ``space``
+        has already been checked against, so they are not checked again."""
+        quotient = cls.__new__(cls)
+        quotient._adopt(factor.masses(space))
+        return quotient
 
     def integral(self, f) -> float:
         return float(np.dot(self.weights, np.asarray(f, dtype=float)))
@@ -129,6 +141,7 @@ class FactorFamily:
     """The structure stock: an indexed finite collection of factors."""
 
     members: list
+    _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.members)
@@ -136,11 +149,80 @@ class FactorFamily:
     def __getitem__(self, i) -> Factor:
         return self.members[i]
 
+    def table(self, size: int, base: Factor | None = None) -> "AtomTable":
+        """The atom table of the members' common refinement on ``size`` points,
+        built once per stock; with a ``base`` of more than one atom, of base
+        joined with the members, built afresh."""
+        if base is not None and base.num_atoms > 1:
+            return AtomTable(self.members, size, base)
+        # kept with the members it was built from, so a changed list rebuilds it
+        if self._table is None or list(map(id, self._table[0])) != list(map(id, self.members)):
+            self._table = (tuple(self.members), AtomTable(self.members, size))
+        return self._table[1]
+
     def projections(self, space, f) -> np.ndarray:
-        """||E(f | Y)||_2 for every member Y, in member order, from Y's atom
-        sums of one weighted copy of f."""
+        """||E(f | Y)||_2 for every member Y, in member order, from the atom
+        sums of one weighted copy of f over the stock's common refinement."""
+        table = self.table(space.size)
         weighted = space.weights * np.asarray(f, dtype=float)
-        return np.sqrt([_atom_averages(space, weighted, y)[1] for y in self.members])
+        return table.levels(table.quotient(space), table.sums(weighted))
+
+
+class AtomTable:
+    """The common refinement J of a base factor and some members on one
+    ground set, as an atom table.
+
+    J's atoms are the nonempty intersections of one atom of each factor.  The
+    table keeps J as a factor on the points (``factor``) and each factor as a
+    factor on the atoms of J (``base``, trivial when none is given, and
+    ``members``).  Every factor they generate is a union of atoms of J, so
+    conditioning on it reads only J's atom sums: it is conditioning on the
+    quotient space whose points are the atoms of J, weighted by their masses.
+    """
+
+    def __init__(self, members, size: int, base: Factor | None = None):
+        factors = list(members) if base is None else [base, *members]
+        # mixed-radix codes, lexicographic in the label tuple (so J's labels
+        # are those of joining the factors in turn), ranked by counting
+        # whenever the radix would pass N
+        code, radix = np.zeros(size, dtype=np.int64), 1
+        for y in factors:
+            if y.labels.size != size:
+                raise PreconditionError("factors live on different ground sets")
+            if radix * y.num_atoms > size:
+                ranked = Factor(code)
+                code, radix = ranked.labels, ranked.num_atoms
+            code *= y.num_atoms
+            code += y.labels
+            radix *= y.num_atoms
+        self.factor = Factor(code)
+        rep = np.empty(self.factor.num_atoms, dtype=np.int64)  # one point of every atom
+        rep[self.factor.labels] = np.arange(size)
+        on_atoms = [Factor(y.labels[rep]) for y in factors]
+        self.base = Factor.trivial(self.factor.num_atoms) if base is None else on_atoms.pop(0)
+        self.members = on_atoms
+        self._quotient = (None, None)
+
+    def quotient(self, space) -> FiniteProbabilitySpace:
+        """The atoms of J weighted by their masses, kept for the last space."""
+        counted_on, quotient = self._quotient
+        if counted_on is not space:
+            quotient = FiniteProbabilitySpace.quotient(space, self.factor)
+            self._quotient = (space, quotient)
+        return quotient
+
+    def sums(self, weighted) -> np.ndarray:
+        """J's atom sums of ``weighted`` = weights * f: f on the quotient space,
+        weighted by the masses."""
+        return np.bincount(self.factor.labels, weights=weighted, minlength=self.factor.num_atoms)
+
+    def levels(self, quotient, sums) -> np.ndarray:
+        """||E(f | Y)||_2 for every member Y, from J's atom ``sums`` of weights * f."""
+        return np.sqrt([_atom_averages(quotient, sums, y)[1] for y in self.members])
+
+    def lift(self, factor: Factor) -> Factor:
+        """A factor on the atoms of J as a factor on the points."""
+        return Factor(factor.labels[self.factor.labels])
 
 
 def _atom_averages(space, weighted, factor: Factor):
@@ -164,9 +246,10 @@ def projection_norm(space, f, factor) -> float:
 
 def majorant_level(space, weighted_nu, eta, factor, members) -> float:
     """||E(nu | factor)||_inf (the largest |atom average|, as every atom of
-    positive mass holds a point of positive weight) from ``weighted_nu`` =
-    weights * nu, raising MajorantViolationError naming the stock members
-    behind the factor when it exceeds 1 + eta."""
+    positive mass holds a point of positive weight) from the atom sums of
+    ``weighted_nu`` = weights * nu, raising MajorantViolationError naming the
+    stock members behind the factor when it exceeds 1 + eta.  A refinement
+    passes J's quotient space and J's atom sums of weights * nu."""
     level = float(np.max(np.abs(_atom_averages(space, weighted_nu, factor)[0]), initial=0.0))
     if level > 1.0 + eta + EPS_TOL:
         message = f"majorant conditional expectation reaches {level:.6f} > 1 + {eta}"
@@ -176,38 +259,50 @@ def majorant_level(space, weighted_nu, eta, factor, members) -> float:
 
 class Refinement:
     """A factor refined by joining stock members, with f_str = E(f | factor)
-    and its ``energy`` read off the atom sums; the ``kept_`` fields hold the
-    committed stages, which the current stage refines further.  Under a
-    majorant (nu, eta) the stock (up front) and every factor used are checked
-    by ``majorant_level``, which caps the energy by (1 + eta)^2;
-    ``majorant_linf`` is the largest level found."""
+    and its ``energy``; the ``kept_`` fields hold the committed stages, which
+    the current stage refines further.  It works on the atom table of the
+    starting factor joined with the stock: ``factor`` lives on the atoms of
+    J, the atom sums of weights * f over J are taken once, and the energy,
+    every stock scan of the residual (J's sums of weights * f less masses
+    times f_str) and every majorant check are read off them; f_str is
+    gathered to the points once per factor.  Under a majorant (nu, eta) the
+    stock (up front) and every factor used are checked by ``majorant_level``,
+    which caps the energy by (1 + eta)^2; ``majorant_linf`` is the largest
+    level found."""
 
     def __init__(self, space, f, family, factor, majorant=None):
-        self.space, self.f, self.family = space, f, family
-        self.weighted_f = space.weights * f
+        self.table = family.table(space.size, factor)
+        self.quotient = self.table.quotient(space)
+        self.sums = self.table.sums(space.weights * f)
         self.energy_cap = 1.0 if majorant is None else (1.0 + majorant[1]) ** 2
-        self.factor, self.majorant, self.majorant_linf = factor, None, None
+        self.factor, self.majorant, self.majorant_linf = self.table.base, None, None
         if majorant is not None:  # the stock first, so violations surface before any work
-            self.majorant = (space.weights * np.asarray(majorant[0], dtype=float), majorant[1])
-            levels = (majorant_level(space, *self.majorant, y, (i,)) for i, y in enumerate(family))
+            nu_sums = self.table.sums(space.weights * np.asarray(majorant[0], dtype=float))
+            self.majorant = (nu_sums, majorant[1])
+            levels = (
+                majorant_level(self.quotient, *self.majorant, y, (i,))
+                for i, y in enumerate(self.table.members)
+            )
             self.majorant_linf = max(levels, default=None)
         self._check_majorant(())
         self._condition()
         self.keep()
 
     def _condition(self):
-        averages, self.energy = _atom_averages(self.space, self.weighted_f, self.factor)
-        self.f_str = averages[self.factor.labels]
+        averages, self.energy = _atom_averages(self.quotient, self.sums, self.factor)
+        self.atom_str = averages[self.factor.labels]  # f_str on the atoms of J
+        self.f_str = self.atom_str[self.table.factor.labels]
 
     def _check_majorant(self, members):
         if self.majorant is not None:
-            level = majorant_level(self.space, *self.majorant, self.factor, members)
+            level = majorant_level(self.quotient, *self.majorant, self.factor, members)
             self.majorant_linf = max(level, self.majorant_linf or 0.0)
 
     def _best(self, threshold):
         """The member f - f_str projects onto furthest (lowest on ties) if that
         projection exceeds ``threshold``, else None; ``levels`` keeps the scan."""
-        self.levels = self.family.projections(self.space, self.f - self.f_str)
+        residual = self.sums - self.quotient.weights * self.atom_str
+        self.levels = self.table.levels(self.quotient, residual)
         if self.levels.size and self.levels.max() > threshold + EPS_TOL:
             return int(np.argmax(self.levels))
         return None
@@ -221,7 +316,7 @@ class Refinement:
             if len(self.members) >= budget:
                 raise CertificateError("energy argument violated: join budget exceeded")
             self.members.append(idx)
-            self.factor = self.factor.join(self.family[idx])
+            self.factor = self.factor.join(self.table.members[idx])
             self._check_majorant(tuple(self.members))
             self._condition()
             if self.energy > self.energy_cap + EPS_TOL:
@@ -275,8 +370,9 @@ def weak_factor_decompose(
         raise PreconditionError("||f||_2 must be at most 1")
     split = Refinement(space, f, family, base)
     split.grow(eps)
+    factor = split.table.lift(split.factor)
     return WeakFactorSplit(
-        split.members, split.factor, split.f_str, f - split.f_str, len(split.members), split.trace
+        split.members, factor, split.f_str, f - split.f_str, len(split.members), split.trace
     )
 
 
@@ -370,7 +466,7 @@ def strong_factor_decompose(
         energy_cap=refinement.energy_cap,
     )
     return FactorDecomposition(
-        factor=refinement.kept_factor,
+        factor=refinement.table.lift(refinement.kept_factor),
         member_indices=[i for s in stages[:-1] for i in s["members"]],
         f_str=refinement.kept_f_str,
         f_psd=f - refinement.f_str,

@@ -409,6 +409,17 @@ class TestExitCodes:
         assert main(["sparse-demo", "--gen", spec]) == 4
         assert "sparse cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, code", [(25, 4), (-1, 2)], ids=["past-cube-cap", "negative"])
+    def test_arith_reg_input_n(self, tmp_path, capsys, n, code):
+        # an --input subset past the cube cap exits 4, as --gen subset:n=25
+        # does; a negative n is a precondition failure
+        path = tmp_path / "subset.json"
+        path.write_text("[]")
+        assert main(["arith-reg", "--input", str(path), "--n", str(n)]) == code
+        assert ("cube cap" if code == 4 else "precondition failure") in capsys.readouterr().err
+        if code == 4:
+            assert main(["arith-reg", "--gen", f"subset:n={n}"]) == 4
+
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_negative_seed(self, command, capsys):
         assert main([command, "--seed", "-1"]) == 2

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from structrand import (
     weak_factor_decompose,
 )
 
-from structrand.factors import Refinement, majorant_level
+from structrand.factors import AtomTable, Refinement, majorant_level
+from structrand.hilbert import EPS_TOL
 
 from oracles import (
     naive_canonical_labels,
@@ -168,6 +170,17 @@ class TestConditionalExpectation:
         assert np.all(np.abs(eg) <= ef + 1e-12)
 
 
+def rounding_bound(size, *scales):
+    """How far two summation orders can put a projection norm apart, in
+    units of ``scales`` (||f||_2 and the norm itself).  Every atom sum of the
+    N rounded terms w * f lies within (N + 1)u sum|w f| of the exact one,
+    whatever the order, and by Cauchy-Schwarz that moves ||E(f | Y)||_2 by at
+    most (N + 1)u ||f||_2; the masses (N terms each), divisions, dot product
+    and square root move its square by a relative 2(N + 1)u at most.  Each
+    route is that close to the exact norm; 4(N + 2)u covers both."""
+    return 4 * (size + 2) * 2.0**-53 * sum(scales)
+
+
 def gapped_labels(rng, size, atoms, gap):
     """Labels with every one of ``atoms`` values present, spaced ``gap`` apart."""
     labels = rng.integers(0, atoms, size)
@@ -199,7 +212,9 @@ class TestAtomSumNorms:
             ef = naive_conditional_expectation(w, f, labels)
             oracle = math.sqrt(math.fsum(wi * v * v for wi, v in zip(w, ef)))
             assert level == pytest.approx(oracle, rel=1e-12, abs=0)
-            assert projection_norm(space, f, y) == level
+            # the stock's join orders the sums otherwise than y's own atoms do
+            bound = rounding_bound(size, space.l2(f), level)
+            assert abs(projection_norm(space, f, y) - level) <= bound
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(8, 40), atoms=st.integers(3, 6))
@@ -223,23 +238,23 @@ class TestAtomSumNorms:
 
 
 class TestScanShape:
-    """A stock scan takes no atom sums over a factor outside the stock; the
-    split takes one pass over the starting factor and one per join, which
-    gives both E(f | .) and its energy."""
+    """A stock scan takes one length-N pass over the points (the atom sums of
+    weights * f over the stock's join J), however many members the stock has;
+    a split takes one for f and reads every scan and join off J's atoms."""
 
     @staticmethod
-    def count_factor_passes(monkeypatch, family):
-        import structrand.factors as factors
-
+    def count_point_passes(monkeypatch, size):
+        """Records, for every bincount over ``size`` labels, whether it is weighted."""
         calls = []
-        original = factors._atom_averages
-        monkeypatch.setattr(
-            factors,
-            "_atom_averages",
-            lambda *args: calls.append(args[2]) or original(*args),
-        )
-        outside = lambda: [y for y in calls if not any(y is member for member in family)]
-        return calls, outside
+        original = np.bincount
+
+        def counting(labels, *args, **kwargs):
+            if np.size(labels) == size:
+                calls.append(kwargs.get("weights") is not None)
+            return original(labels, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        return calls
 
     def test_scan_and_split_counts(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -248,18 +263,24 @@ class TestScanShape:
         f = 0.6 * (labels[0] - 0.5) + 0.3 * (labels[1] - 0.5) + 0.15 * rng.standard_normal(48)
         f /= space.l2(f)
         family = FactorFamily([Factor(lab) for lab in labels])
-        calls, passes = self.count_factor_passes(monkeypatch, family)
-        assert family.projections(space, f).size == 6
-        projection_norm(space, f, family[0])
-        assert len(calls) == 7 and passes() == []  # one pass per member scanned
+        single = FactorFamily([family[0]])
+        for stock in (family, single):  # builds J and counts its masses, once per stock
+            stock.projections(space, f)
+        calls = self.count_point_passes(monkeypatch, 48)
+        for scans, stock in enumerate((family, single, family, single), start=1):
+            stock.projections(space, rng.standard_normal(48))
+            assert calls == [True] * scans
+        calls.clear()
         dec = strong_factor_decompose(space, f, family, 0.1, GrowthFunction.linear(2, offset=1))
         joins = sum(stage["joins"] for stage in dec.stages)
         assert joins >= 2
-        assert len(passes()) == 1 + joins
-        assert passes()[0] == Factor.trivial(48)
-        count = len(passes())
+        # J's sums of weights * f, then the unweighted count that ranks the
+        # labels of the factor returned
+        assert calls == [True, False]
+        calls.clear()
         dec.verify(space, f, family)
-        assert passes()[count:] == [dec.factor]
+        # E(f | factor) afresh (its masses and sums), then one stock scan of f_psd
+        assert calls == [True, True, True]
 
     def test_swapped_labels_tie_to_lower_index(self):
         # a half-interval and its complement are one partition with the labels
@@ -275,6 +296,84 @@ class TestScanShape:
             assert levels[1] == levels[2] > levels[0]
             refinement = Refinement(space, f, family, Factor.trivial(n))
             assert refinement._best(0.1) == 1
+
+
+class TestAtomTable:
+    """Projections, majorant levels and weak splits read off the atom table of
+    the stock's join J agree with the point-by-point oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        blocks=st.integers(6, 13),
+        atoms=st.lists(st.integers(3, 6), min_size=3, max_size=5),
+        base_atoms=st.integers(2, 4),
+        eps=st.sampled_from([0.15, 0.3]),
+    )
+    def test_join_route_matches_oracle(self, seed, blocks, atoms, base_atoms, eps):
+        rng = np.random.default_rng(seed)
+        size = 2 * blocks  # below 27 <= the product of the atom counts
+        # members constant on point pairs, so every atom of J holds two points
+        # and a base split inside the pair (0, 1) is not measurable for J
+        members = [np.repeat(gapped_labels(rng, blocks, a, 1), 2) for a in atoms]
+        base_labels = rng.integers(0, base_atoms, size)
+        base_labels[:2] = [0, 1]
+        w = rng.random(size) + 0.01
+        w[members[0] == 0] = 0.0  # one member atom of zero weight
+        w[rng.random(size) < 0.2] = 0.0
+        assume(w.sum() > 0)
+        w /= w.sum()
+        space = FiniteProbabilitySpace(w)
+        family = FactorFamily([Factor(labels) for labels in members])
+        base = Factor(base_labels)
+
+        table = family.table(size)
+        assert table.factor == reduce(Factor.join, family.members)
+        assert AtomTable(family.members, size, base).factor == reduce(
+            Factor.join, family.members, base
+        )
+
+        f = rng.standard_normal(size)
+        f /= max(space.l2(f), 1e-3)
+        f_norm = space.l2(f)
+        for labels, level in zip(members, family.projections(space, f)):
+            ef = naive_conditional_expectation(w, f, labels)
+            oracle = math.sqrt(math.fsum(wi * v * v for wi, v in zip(w, ef)))
+            assert abs(level - oracle) <= rounding_bound(size, f_norm, oracle)
+
+        # majorant levels: every average of nu is within 4(N + 2)u max nu
+        nu = rng.random(size) * 3.0
+        bound = rounding_bound(size, nu.max())
+        quotient, nu_sums = table.quotient(space), table.sums(w * nu)
+        expected = []
+        for labels, y in zip([base_labels, *members], [None, *table.members]):
+            oracle = space.linf(naive_conditional_expectation(w, nu, labels))
+            if y is not None:
+                assert abs(majorant_level(quotient, nu_sums, 1e9, y, ()) - oracle) <= bound
+            expected.append(oracle)
+        refinement = Refinement(space, f, family, base, majorant=(nu, 1e9))
+        assert abs(refinement.majorant_linf - max(expected)) <= bound
+
+        split = weak_factor_decompose(space, f, base, family, eps)
+        chosen = [family[i] for i in split.member_indices]
+        assert split.factor == reduce(Factor.join, chosen, base)
+        f_str = naive_conditional_expectation(w, f, split.factor.labels)
+        assert np.abs(split.f_str - f_str).max() <= rounding_bound(size, np.abs(f).max())
+        # replay the greedy choice with oracle projections
+        joined = base
+        for idx in [*split.member_indices, None]:
+            residual = f - naive_conditional_expectation(w, f, joined.labels)
+            levels = [
+                math.sqrt(space.inner(e, e))
+                for e in (naive_conditional_expectation(w, residual, lab) for lab in members)
+            ]
+            tol = rounding_bound(size, f_norm, max(levels))
+            if idx is None:
+                assert max(levels) <= eps + EPS_TOL + tol
+            else:
+                assert levels[idx] >= max(levels) - 2 * tol
+                assert levels[idx] > eps + EPS_TOL - tol
+                joined = joined.join(family[idx])
 
 
 LABEL_DTYPES = (np.bool_, np.uint8, np.int64)
@@ -528,6 +627,52 @@ class TestStrongFactorDecompose:
         for got, stage in zip(dec.stages, expected):
             assert got["energy_gain"] == pytest.approx(stage["energy_gain"], abs=1e-9)
         assert dec.pseudo_found == pytest.approx(found, abs=1e-9)
+
+
+class TestPlantedJoins:
+    """A planted two-level input at N = 4096 on sparse-demo's stock (the
+    halves and quarters): f has density 0.9 of nu on the left half and 0.1 on
+    the right, so the first stage joins a half (the halves tie exactly, and
+    the lower index wins) and the quarters then see only noise."""
+
+    N = 4096
+
+    def _planted(self, seed):
+        n = self.N
+        rng = np.random.default_rng(seed)
+        space = FiniteProbabilitySpace.uniform(n)
+        family = dyadic_interval_family(n, n // 4)
+        # nu = 2 on half of every 16-point block, so E(nu | Y) = 1 for every
+        # factor the stock generates
+        nu = 2.0 * rng.permuted(np.tile(np.arange(16) < 8, (n // 16, 1)), axis=1).ravel()
+        f = nu * (rng.random(n) < np.where(np.arange(n) < n // 2, 0.9, 0.1))
+        return space, family, nu, f
+
+    def check_against_oracle(self, space, f, family, dec, eps):
+        members = [y.labels for y in family.members]
+        expected, found = naive_staged_factor_split(
+            [1 / self.N] * self.N, members, f, eps, lambda m: 2 * m + 1
+        )
+        assert sum(len(stage["members"]) for stage in expected) >= 1
+        assert [s["members"] for s in dec.stages] == [s["members"] for s in expected]
+        for got, stage in zip(dec.stages, expected):
+            assert got["energy_gain"] == pytest.approx(stage["energy_gain"], abs=1e-9)
+        assert dec.pseudo_found == pytest.approx(found, abs=1e-9)
+        dec.verify(space, f, family)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_strong_split_joins(self, seed):
+        space, family, _, f = self._planted(seed)
+        f = f / space.l2(f)
+        dec = strong_factor_decompose(space, f, family, 0.3, GrowthFunction.linear(2, offset=1))
+        self.check_against_oracle(space, f, family, dec, 0.3)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sparse_split_joins(self, seed):
+        space, family, nu, f = self._planted(seed)
+        dec = sparse_decompose(space, f, nu, family, 0.3, GrowthFunction.linear(2, offset=1), 0.2)
+        assert dec.majorant_linf == pytest.approx(1.0)
+        self.check_against_oracle(space, f, family, dec, 0.3)
 
 
 class TestSparseDecompose:
