@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import io as _stdio
 import json
@@ -414,6 +415,32 @@ OPTIONS = {
 
 REPORT_SCHEMA_VERSION = 3
 
+# glibc mallopt parameters and the values main sets: blocks below 32 MiB (the
+# largest mmap threshold glibc accepts on 64-bit) come from the heap, and the
+# heap top goes back to the system only once 256 MiB of it lies free
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 256 << 20
+
+
+@functools.cache  # once per process
+def keep_freed_memory() -> None:
+    """Have the C library's malloc keep freed memory for the next arrays.
+
+    A check allocates and frees arrays of up to a few megabytes per million
+    points.  By default glibc maps each such block afresh or, after raising
+    its thresholds to the largest block freed, trims the heap top back once
+    twice that lies free, so every command faults the same pages in again;
+    those faults, and the huge pages numpy asks for, cost more or less with
+    the machine's load.  Nothing happens where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
 
 @functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
@@ -466,6 +493,7 @@ def run(args) -> str:
 
 
 def main(argv=None) -> int:
+    keep_freed_memory()
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

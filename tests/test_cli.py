@@ -1,5 +1,6 @@
 import argparse
 import json
+import platform
 import re
 import struct
 from pathlib import Path
@@ -224,6 +225,19 @@ class TestSparseDemoCommand:
         assert code == 0
         payload = json.loads(out.read_text())["payload"]
         assert payload["mean_preserved_error"] <= 2 * 2097152 * 2.0**-53 * payload["f_mean"]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+    def test_rerun_faults_in_no_fresh_memory(self, tmp_path):
+        # main keeps freed blocks on the heap, so a second run of one command
+        # reuses the pages of the first; under glibc's default thresholds the
+        # second run at N = 2^18 faults in about 9000 pages
+        import resource
+
+        args = ["sparse-demo", "--gen", "sparse:N=262144", "--seed", "1"]
+        assert run_cli(args, tmp_path)[0] == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert run_cli(args, tmp_path)[0] == 0
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 class TestExitCodes:
