@@ -427,12 +427,13 @@ TRIM_THRESHOLD_BYTES = 256 << 20
 def keep_freed_memory() -> None:
     """Have the C library's malloc keep freed memory for the next arrays.
 
-    A check allocates and frees arrays of up to a few megabytes per million
-    points.  By default glibc maps each such block afresh or, after raising
-    its thresholds to the largest block freed, trims the heap top back once
-    twice that lies free, so every command faults the same pages in again;
-    those faults, and the huge pages numpy asks for, cost more or less with
-    the machine's load.  Nothing happens where the C library has no mallopt.
+    A command allocates and frees many arrays of 8 bytes per point (8 MB at
+    a million points).  Under glibc's own rule each such block is mapped
+    afresh or, once the thresholds have risen to the largest block freed,
+    the heap top is trimmed whenever twice that lies free, so the next
+    command in the process faults the same pages in again; what those faults
+    cost (numpy asks for huge pages on large arrays) moves with the
+    machine's load.  Nothing is set where the C library has no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
