@@ -42,7 +42,7 @@ g64 = gnp_random_graph(64, 0.5, rng)
 atoms, residual, scan = weak_regularize(g64, 0.25, seed=1)
 print("atoms used:", len(atoms), "(allowed 16)")
 for atom, coeff in atoms:
-    print(f"  coefficient {coeff:+.3f} on a {len(atom.a)}x{len(atom.b)} block")
+    print(f"  coefficient {coeff:+.3f} on a {atom.a.sum()}x{atom.b.sum()} block")
 print("residual norm:", norm(residual))
 print(
     "best cut correlation of the residual:",

@@ -316,7 +316,7 @@ def cmd_weak_reg(args, rng) -> tuple[dict, list]:
         "certificate_exact": scan.exact,
     }
     rows = [["index", "A", "B", "coefficient"]]
-    rows += [[i, json.dumps(sorted(a.a)), json.dumps(sorted(a.b)), c] for i, (a, c) in enumerate(atoms)]
+    rows += [[i, *map(json.dumps, a.to_json().values()), c] for i, (a, c) in enumerate(atoms)]
     return payload, rows
 
 

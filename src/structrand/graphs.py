@@ -68,23 +68,24 @@ def edge_density(g, rows, cols) -> float:
     return float(block.sum() / (rows.size * cols.size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutAtom:
-    """The tensor product (v, w) -> 1_A(v) 1_B(w)."""
+    """The tensor product (v, w) -> 1_A(v) 1_B(w); A and B are held as
+    read-only boolean masks over the vertices."""
 
-    a: frozenset
-    b: frozenset
-    n: int
+    a: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        for side in "a", "b":
+            object.__setattr__(self, side, np.asarray(getattr(self, side), dtype=bool).view())
+            getattr(self, side).flags.writeable = False
 
     def values(self) -> np.ndarray:
-        va = np.zeros(self.n)
-        vb = np.zeros(self.n)
-        va[sorted(self.a)] = 1.0
-        vb[sorted(self.b)] = 1.0
-        return np.outer(va, vb)
+        return np.outer(self.a, self.b).astype(float)
 
     def to_json(self):
-        return {"A": sorted(self.a), "B": sorted(self.b)}
+        return {"A": np.flatnonzero(self.a).tolist(), "B": np.flatnonzero(self.b).tolist()}
 
 
 @functools.cache
@@ -101,21 +102,27 @@ def _subset_table(k):
 
 def _best_b_given_cols(colsums):
     """Optimal B for both signs given column sums; returns (value, mask)."""
-    pos = colsums > 0
-    neg = colsums < 0
-    vplus = float(colsums[pos].sum())
-    vminus = float(colsums[neg].sum())
-    if vplus >= -vminus:
-        return vplus, pos
-    return vminus, neg
+    pos, neg = colsums > 0, colsums < 0
+    vplus, vminus = float(colsums[pos].sum()), float(colsums[neg].sum())
+    return (vplus, pos) if vplus >= -vminus else (vminus, neg)
 
 
 def _best_sides(sums):
     """Row by row, the better sign's value and mask, as _best_b_given_cols."""
-    plus = np.where(sums > 0, sums, 0.0).sum(axis=1)
-    minus = np.where(sums < 0, sums, 0.0).sum(axis=1)
+    plus = np.maximum(sums, 0.0).sum(axis=1)
+    minus = np.minimum(sums, 0.0).sum(axis=1)
     take_plus = plus >= -minus
     return np.where(take_plus, plus, minus), np.where(take_plus[:, None], sums > 0, sums < 0)
+
+
+def _distinct_rows(masks):
+    """(first, ids) for the rows of a boolean matrix with columns: each distinct
+    row's first index, in row order, and each row's position in that list."""
+    keys = np.ascontiguousarray(np.packbits(masks, axis=1))
+    keys = keys.view(f"V{keys.shape[1]}").ravel()  # one byte string per row
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]  # argsort inverts the permutation
 
 
 class CutAtomSet(AtomSet):
@@ -142,13 +149,6 @@ class CutAtomSet(AtomSet):
     def key_json(self, key: CutAtom):
         return key.to_json()
 
-    def _atom(self, amask_bool, bmask_bool):
-        return CutAtom(
-            a=frozenset(int(i) for i in np.flatnonzero(amask_bool)),
-            b=frozenset(int(i) for i in np.flatnonzero(bmask_bool)),
-            n=self.n,
-        )
-
     def _exhaustive(self, f):
         masks = _subset_table(self.n)[0]
         cols = masks @ f  # row a-mask -> column sums over A
@@ -161,10 +161,9 @@ class CutAtomSet(AtomSet):
         """Alternating maximization from every start at once: a sweep takes
         the best B for each row's A, then the best A for that B, and a row
         stops (keeping its A) once its value no longer grows."""
-        rng = np.random.default_rng(self.seed)
-        starts = [np.ones(self.n, dtype=bool)]
-        starts += [rng.random(self.n) < 0.5 for _ in range(CUT_STARTS)]
-        a = np.array([a0 for a0 in starts if a0.any()], dtype=float)
+        starts = np.random.default_rng(self.seed).random((CUT_STARTS, self.n)) < 0.5
+        a = np.vstack([np.ones(self.n, dtype=bool), starts])
+        a = a[a.any(axis=1)].astype(float)
         prev = np.zeros(len(a))
         live = np.arange(len(a))
         for _ in range(CUT_SWEEPS):
@@ -175,12 +174,10 @@ class CutAtomSet(AtomSet):
             a[live], prev[live] = a_new[grew], v2[grew]
             if not live.size:
                 break
-        b = _best_sides(a @ f)[1]
-        pairs = {}  # distinct (A, B) in start order
-        for a_bool, b_bool in zip(a > 0, b):
-            if a_bool.any() and b_bool.any():
-                pairs.setdefault(a_bool.tobytes() + b_bool.tobytes(), (a_bool, b_bool))
-        found = [self._atom(a_bool, b_bool) for a_bool, b_bool in pairs.values()]
+        sides = np.hstack([a > 0, _best_sides(a @ f)[1]])  # row i: A then B of start i
+        rows = np.flatnonzero(sides[:, : self.n].any(axis=1) & sides[:, self.n :].any(axis=1))
+        rows = rows[_distinct_rows(sides[rows])[0]]
+        found = [CutAtom(sides[i, : self.n], sides[i, self.n :]) for i in rows]
         found = [(atom, float(atom.values().ravel() @ f.ravel() / f.size)) for atom in found]
         return sorted(found, key=lambda kv: -abs(kv[1]))
 
@@ -191,17 +188,14 @@ class CutAtomSet(AtomSet):
             order = np.argsort(-strength)[: self.max_candidates]
             ranking = []
             for idx in order[strength[order] >= MIN_CORR]:
-                value, b_bool = _best_b_given_cols(cols[idx])
-                atom = self._atom(masks[idx].astype(bool), b_bool)
-                ranking.append((atom, value / (self.n * self.n)))
-            level = float(strength[order[0]])
-            upper, exact = level, True
+                value, b_mask = _best_b_given_cols(cols[idx])
+                ranking.append((CutAtom(masks[idx] > 0, b_mask), value / (self.n * self.n)))
+            level = upper = float(strength[order[0]])
         else:
             ranking = self._heuristic_pool(f)[: self.max_candidates]
             level = abs(ranking[0][1]) if ranking else 0.0
-            upper, exact = float(np.abs(f).mean()), False  # |<f, 1_{AxB}>| <= mean |f| always
-        witness = ranking[0][0] if ranking else None
-        return CorrelationScan(level, upper, exact, witness, ranking)
+            upper = float(np.abs(f).mean())  # |<f, 1_{AxB}>| <= mean |f| always
+        return CorrelationScan(level, upper, self.exact, ranking[0][0] if ranking else None, ranking)
 
     # defined on the class itself so that per-class wrappers can replace it
     candidates = AtomSet.candidates
@@ -449,13 +443,14 @@ class RegularityPartition:
 
 
 def _atom_cells(n, atoms):
-    """Cell id per vertex from membership in every selected A_i and B_i."""
-    signatures = {}
-    ids = []
-    for v in range(n):
-        sig = tuple((int(v in atom.a), int(v in atom.b)) for atom, _ in atoms)
-        ids.append(signatures.setdefault(sig, len(signatures)))
-    return np.array(ids), [s for s, _ in sorted(signatures.items(), key=lambda kv: kv[1])]
+    """Cell id per vertex from membership in every selected A_i and B_i; ids
+    follow each cell's first vertex, and a cell's signature lists its
+    (in A_i, in B_i) bits."""
+    if not atoms:
+        return np.zeros(n, dtype=int), [()]
+    member = np.array([m for atom, _ in atoms for m in (atom.a, atom.b)]).T  # vertex x side
+    first, ids = _distinct_rows(member)
+    return ids, [tuple(zip(r[::2], r[1::2])) for r in member[first].astype(int).tolist()]
 
 
 def szemeredi_regularize(
@@ -489,9 +484,7 @@ def szemeredi_regularize(
             f"vertex count {n} too small for the refinement: need n >= {required}"
         )
     size = max(1, min(int(eps * n / n_cells), n // m))
-    parts = []
-    part_cell = []
-    exceptional = []
+    parts, part_cell, exceptional = [], [], []
     for cid in range(n_cells):
         members = [int(v) for v in np.flatnonzero(cell_ids == cid)]
         while len(members) >= size:
@@ -504,8 +497,7 @@ def szemeredi_regularize(
         raise PreconditionError(
             f"construction produced {m_prime} < m = {m} parts; need more vertices"
         )
-    records = {}
-    irregular = 0
+    records, irregular = {}, 0
     for i in range(m_prime):
         for j in range(i + 1, m_prime):
             verdict = regular_pair_check(

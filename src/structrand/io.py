@@ -26,6 +26,14 @@ def _read_text(path, what):
             raise PreconditionError(f"{what} file {path} is not UTF-8 text: {exc}") from None
 
 
+def _finite(values, source):
+    """The values; a NaN or an infinity among them is a PreconditionError."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise PreconditionError(f"{source} holds {values.flat[bad[0]]} at index {bad[0]}")
+    return values
+
+
 # --- vectors -----------------------------------------------------------------
 
 
@@ -57,7 +65,7 @@ def load_vector_json(path) -> np.ndarray:
         obj = json.loads(_read_text(path, "vector"))
     except (ValueError, RecursionError) as exc:  # also too deep, or past int()'s digit limit
         raise PreconditionError(f"{path} is not JSON: {exc}") from None
-    return vector_from_json(obj)
+    return _finite(vector_from_json(obj), f"vector file {path}")
 
 
 def save_vector_binary(path, values):
@@ -69,15 +77,15 @@ def save_vector_binary(path, values):
 
 def _load_binary(path, what, cells):
     """(header, float64 payload) of a length-prefixed binary file whose
-    payload holds cells(header) values; a short file or a zero header is a
-    PreconditionError."""
+    payload holds cells(header) values; a short file, a zero header or a value
+    that is NaN or infinite is a PreconditionError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     header = struct.unpack_from("<Q", raw)[0] if len(raw) >= 8 else None
     if not header or len(raw) - 8 < 8 * cells(header):
         raise PreconditionError(f"binary {what} file is empty or truncated")
     data = np.frombuffer(raw, dtype="<f8", count=cells(header), offset=8)
-    return header, data.astype(float)
+    return header, _finite(data.astype(float), f"binary {what} file {path}")
 
 
 def load_vector_binary(path) -> np.ndarray:

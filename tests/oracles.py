@@ -396,6 +396,17 @@ def naive_cut_pool(f, seed, starts, sweeps):
     return sorted(found.items(), key=lambda kv: -abs(kv[1]))
 
 
+def naive_atom_cells(n, sides):
+    """(cell id per vertex, signature per cell) from (A, B) index sets: the
+    signature of v lists (v in A_i, v in B_i) for every i, and cells are
+    numbered in order of their first vertex."""
+    cells, ids = {}, []
+    for v in range(n):
+        signature = tuple((int(v in a), int(v in b)) for a, b in sides)
+        ids.append(cells.setdefault(signature, len(cells)))
+    return ids, list(cells)
+
+
 def naive_greedy_side(values, slack, minimum):
     """Indices, in descending order of values - slack, of the shortest prefix
     of at least max(1, minimum) of them with the largest sum of

@@ -1,13 +1,17 @@
 import argparse
 import json
+import math
 import platform
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import structrand
 from structrand.cli import COMMANDS, OPTIONS, build_parser, main
 from structrand.io import save_edge_list, save_vector_binary, save_vector_json
 
@@ -240,6 +244,37 @@ class TestSparseDemoCommand:
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
+EXACT_CHECK_FAULTS = """
+import resource
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from structrand.cli import keep_freed_memory
+from structrand.graphs import gnp_random_graph, regular_pair_check
+
+keep_freed_memory()
+g = gnp_random_graph(24, 0.5, np.random.default_rng(0))
+regular_pair_check(g, range(12), range(12, 24), 0.05, mode="exact")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    regular_pair_check(g, range(12), range(12, 24), 0.05, mode="exact")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+def test_exact_pair_checks_fault_in_no_fresh_memory():
+    # an exact check of a 12 x 12 pair frees three 2^12 x 12 float arrays of
+    # 393 KB; under glibc's default thresholds each check faults about 256
+    # pages in again.  A fresh process, since the frees of earlier tests
+    # raise glibc's own thresholds.
+    src = str(Path(structrand.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", EXACT_CHECK_FAULTS, src], capture_output=True,
+                         text=True, check=True)
+    assert int(run.stdout) < 50 * 10
+
+
 class TestExitCodes:
     def test_precondition_failure(self, tmp_path, capsys):
         code = main(["decompose", "--variant", "weak", "--gen", "random:n=5", "--eps", "1.5"])
@@ -255,17 +290,30 @@ class TestExitCodes:
         assert main([command, "--gen", spec]) == 2
         assert "not key=number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["gowers", "graph-reg"])
+    @staticmethod
+    def adjacency_with(value):
+        """A 16-vertex binary adjacency with ``value`` on the edge {0, 1}; read as
+        a vector, its first 16 values hold ``value`` at index 1."""
+        g = np.zeros((16, 16))
+        g[0, 1] = g[1, 0] = value
+        return struct.pack("<Q", 16) + g.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("command", ["gowers", "graph-reg", "weak-reg", "decompose"])
     @pytest.mark.parametrize(
         "content",
-        [b"\x01\x02\x03", struct.pack("<Q", 1 << 62) + b"\x00" * 8, struct.pack("<Q", 0)],
-        ids=["short-header", "huge-header", "zero-count"],
+        [b"\x01\x02\x03", struct.pack("<Q", 1 << 62) + b"\x00" * 8, struct.pack("<Q", 0),
+         adjacency_with(math.nan), adjacency_with(math.inf), adjacency_with(-math.inf)],
+        ids=["short-header", "huge-header", "zero-count", "nan-value", "inf-value",
+             "minus-inf-value"],
     )
     def test_malformed_binary_input(self, tmp_path, capsys, command, content):
         path = tmp_path / "bad.bin"
         path.write_bytes(content)
         assert main([command, "--input", str(path)]) == 2
-        assert "binary" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "binary" in err
+        if len(content) > 16:  # a value was read: the message names the file
+            assert str(path) in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -355,10 +403,14 @@ class TestExitCodes:
             ("gowers", "f.json", '{"values": [1.0], "domain_size": Infinity}'),
             ("gowers", "f.json", "[" * 100000),
             ("graph-reg", "g.txt", "0 " + "9" * 5000),
+            ("gowers", "f.json", '{"values": [1.0, NaN, 0.0, 1.0], "domain_size": 4}'),
+            ("gowers", "f.json", '{"values": [1.0, 0.0, Infinity, 1.0], "domain_size": 4}'),
+            ("gowers", "f.json", '{"values": [-1e999, 0.0, 0.0, 1.0], "domain_size": 4}'),
         ],
         ids=["empty-edges", "empty-edges-weak", "non-integer", "three-fields",
              "bare-list", "no-domain-size", "truncated-json", "edges-not-utf8",
-             "json-not-utf8", "infinite-domain-size", "json-too-deep", "overlong-vertex"],
+             "json-not-utf8", "infinite-domain-size", "json-too-deep", "overlong-vertex",
+             "nan-value", "infinite-value", "overflowing-value"],
     )
     def test_malformed_text_input(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name

@@ -18,11 +18,19 @@ from structrand import (
     szemeredi_regularize,
     weak_regularize,
 )
-from structrand.graphs import CUT_STARTS, CUT_SWEEPS, _greedy_side, _sampled_draws
+from structrand.graphs import (
+    CUT_STARTS,
+    CUT_SWEEPS,
+    CutAtom,
+    _atom_cells,
+    _greedy_side,
+    _sampled_draws,
+)
 from structrand.hilbert import weak_decompose
 
 from oracles import (
     count_edges,
+    naive_atom_cells,
     naive_best_cut,
     naive_cut_pool,
     naive_exact_search,
@@ -112,7 +120,7 @@ class TestHeuristicCutPool:
     def assert_matches_oracle(f, seed):
         scan = CutAtomSet(f.shape[0], seed=seed).scan(f)
         assert not scan.exact
-        got = [((tuple(sorted(a.a)), tuple(sorted(a.b))), ip) for a, ip in scan.ranking]
+        got = [((tuple(a.to_json()["A"]), tuple(a.to_json()["B"])), ip) for a, ip in scan.ranking]
         expected = naive_cut_pool(f, seed, CUT_STARTS, CUT_SWEEPS)
         assert got == expected[: CutAtomSet.max_candidates]
 
@@ -135,6 +143,34 @@ class TestHeuristicCutPool:
         for g in self.graphs(n, seed):
             key, c = weak_decompose(g, CutAtomSet(n, seed=seed), 0.1).atoms[0]
             self.assert_matches_oracle(g - c * key.values(), seed)
+
+    @pytest.mark.parametrize("n, seed", [(128, 7)])
+    def test_shuffled_blocks_at_benchmark_size(self, n, seed):
+        # the benchmark's block model: four blocks on shuffled vertices, 0.7
+        # inside and 0.3 across; the graph, its centring and its residual
+        # after one weak step
+        rng = np.random.default_rng(seed)
+        block = rng.permutation(np.arange(n) % 4)
+        upper = np.triu(rng.random((n, n)) < np.where(block[:, None] == block, 0.7, 0.3), 1)
+        g = (upper | upper.T).astype(float)
+        key, c = weak_decompose(g, CutAtomSet(n, seed=seed), 0.1).atoms[0]
+        for f in (g, g - g.mean(), g - c * key.values()):
+            self.assert_matches_oracle(f, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), data=st.data())
+def test_atom_cells_match_membership_oracle(n, data):
+    """Cells read off the stacked masks are the oracle's, ids and signatures
+    alike: with no atoms, and with sides that are all or none of V."""
+    side = st.one_of(
+        st.sampled_from([np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+    )
+    sides = data.draw(st.lists(st.tuples(side, side), max_size=6))
+    ids, signatures = _atom_cells(n, [(CutAtom(a, b), 1.0) for a, b in sides])
+    index_sets = [(set(np.flatnonzero(a).tolist()), set(np.flatnonzero(b).tolist())) for a, b in sides]
+    assert (ids.tolist(), signatures) == naive_atom_cells(n, index_sets)
 
 
 GREEDY_VALUES = st.one_of(
@@ -409,10 +445,11 @@ class TestSzemerediRegularize:
 
 
 def _cells_of(part):
-    from structrand.graphs import CutAtom, _atom_cells
+    def mask(indices):
+        return np.isin(np.arange(part.n), indices)
 
     atoms = [
-        (CutAtom(a=frozenset(d["A"]), b=frozenset(d["B"]), n=part.n), c)
+        (CutAtom(a=mask(d["A"]), b=mask(d["B"])), c)
         for d, c in zip(part.decomposition["atoms"], part.decomposition["coefficients"])
     ]
     return _atom_cells(part.n, atoms)
