@@ -18,7 +18,6 @@ import numpy as np
 from .errors import BudgetExceededError, PreconditionError
 from .hilbert import (
     EPS_TOL,
-    MIN_CORR,
     AtomSet,
     CorrelationScan,
     GrowthFunction,
@@ -100,19 +99,14 @@ def _subset_table(k):
     return masks, sizes
 
 
-def _best_b_given_cols(colsums):
-    """Optimal B for both signs given column sums; returns (value, mask)."""
-    pos, neg = colsums > 0, colsums < 0
-    vplus, vminus = float(colsums[pos].sum()), float(colsums[neg].sum())
-    return (vplus, pos) if vplus >= -vminus else (vminus, neg)
-
-
-def _best_sides(sums):
-    """Row by row, the better sign's value and mask, as _best_b_given_cols."""
+def _best_sides(sums, tol):
+    """Row by row, the better side's value and sign: the sum of the positive
+    entries (+1) or of the negative ones (-1), whichever is larger, the
+    positive one when they lie within ``tol``; its mask is sums * sign > 0."""
     plus = np.maximum(sums, 0.0).sum(axis=1)
     minus = np.minimum(sums, 0.0).sum(axis=1)
-    take_plus = plus >= -minus
-    return np.where(take_plus, plus, minus), np.where(take_plus[:, None], sums > 0, sums < 0)
+    take_plus = plus + minus >= -tol
+    return np.where(take_plus, plus, minus), np.where(take_plus, 1.0, -1.0)
 
 
 def _distinct_rows(masks):
@@ -131,8 +125,6 @@ class CutAtomSet(AtomSet):
     For n <= 12 the search enumerates every A (the optimal B given A is
     closed-form), so scans are definitive; beyond that it runs CUT_STARTS
     random restarts plus the all-vertices start and is flagged heuristic.
-    The starts run as one batch: each half-sweep is one matrix product for
-    all of them, and each distinct (A, B) they end on becomes one atom.
     """
 
     max_candidates = 32
@@ -149,52 +141,54 @@ class CutAtomSet(AtomSet):
     def key_json(self, key: CutAtom):
         return key.to_json()
 
-    def _exhaustive(self, f):
-        masks = _subset_table(self.n)[0]
-        cols = masks @ f  # row a-mask -> column sums over A
-        vplus = np.maximum(cols, 0.0).sum(axis=1)
-        vminus = np.minimum(cols, 0.0).sum(axis=1)
-        strength = np.maximum(vplus, -vminus) / (self.n * self.n)
-        return masks, cols, strength
-
-    def _heuristic_pool(self, f):
-        """Alternating maximization from every start at once: a sweep takes
-        the best B for each row's A, then the best A for that B, and a row
-        stops (keeping its A) once its value no longer grows."""
+    def _heuristic_pool(self, f, tol):
+        """The distinct A rows, in start order, that alternating maximization
+        ends on from all starts as one batch (each half-sweep is one matrix
+        product): a sweep takes the best B for each row's A, then the best A
+        for that B, and a row stops (keeping its A) once its value no longer
+        grows by more than ``tol``."""
         starts = np.random.default_rng(self.seed).random((CUT_STARTS, self.n)) < 0.5
-        a = np.vstack([np.ones(self.n, dtype=bool), starts])
-        a = a[a.any(axis=1)].astype(float)
+        a = np.vstack([np.ones(self.n, dtype=bool), starts]).astype(float)
         prev = np.zeros(len(a))
         live = np.arange(len(a))
         for _ in range(CUT_SWEEPS):
-            b = _best_sides(a[live] @ f)[1]
-            v2, a_new = _best_sides(b.astype(float) @ f.T)
-            grew = np.abs(v2) > np.abs(prev[live]) + 1e-15
+            cols = a[live] @ f
+            b = cols * _best_sides(cols, tol)[1][:, None] > 0
+            rows = b.astype(float) @ f.T
+            v2, sign = _best_sides(rows, tol)
+            grew = np.abs(v2) > np.abs(prev[live]) + tol
             live = live[grew]
-            a[live], prev[live] = a_new[grew], v2[grew]
+            a[live], prev[live] = rows[grew] * sign[grew, None] > 0, v2[grew]
             if not live.size:
                 break
-        sides = np.hstack([a > 0, _best_sides(a @ f)[1]])  # row i: A then B of start i
-        rows = np.flatnonzero(sides[:, : self.n].any(axis=1) & sides[:, self.n :].any(axis=1))
-        rows = rows[_distinct_rows(sides[rows])[0]]
-        found = [CutAtom(sides[i, : self.n], sides[i, self.n :]) for i in rows]
-        found = [(atom, float(atom.values().ravel() @ f.ravel() / f.size)) for atom in found]
-        return sorted(found, key=lambda kv: -abs(kv[1]))
+        return a[_distinct_rows(a > 0)[0]]
 
     def scan(self, f):
+        """One body for both branches, which differ only in where the A rows
+        come from: the subset table, or the distinct ends of the heuristic
+        search.  Each row's column sums give its best B and its score
+        a^T f b / n^2; the ranking is by |score|, exact ties going to the
+        earlier row, and the level is the top |score|.
+
+        Tolerance: a score sums its |A| |B| terms f[v, w] as column sums and
+        then one sum of n terms, off by at most 2n 2^-53 max|f| to first order
+        (after division by n^2); one n^2-term dot with the outer product is
+        off by at most n^2 2^-53 max|f|.  So the two routes differ by at most
+        (n^2 + 2n) 2^-53 max|f|, and side choices and growth steps within that
+        bound (times n^2) are ties: a tie takes the positive side and ends a
+        start's sweeps.
+        """
         f = np.asarray(f, dtype=float)
-        if self.exact:
-            masks, cols, strength = self._exhaustive(f)
-            order = np.argsort(-strength)[: self.max_candidates]
-            ranking = []
-            for idx in order[strength[order] >= MIN_CORR]:
-                value, b_mask = _best_b_given_cols(cols[idx])
-                ranking.append((CutAtom(masks[idx] > 0, b_mask), value / (self.n * self.n)))
-            level = upper = float(strength[order[0]])
-        else:
-            ranking = self._heuristic_pool(f)[: self.max_candidates]
-            level = abs(ranking[0][1]) if ranking else 0.0
-            upper = float(np.abs(f).mean())  # |<f, 1_{AxB}>| <= mean |f| always
+        tol = (self.n**2 + 2 * self.n) * 2.0**-53 * float(np.abs(f).max()) * f.size
+        a = _subset_table(self.n)[0] if self.exact else self._heuristic_pool(f, tol)
+        cols = a @ f
+        values, sign = _best_sides(cols, tol)
+        scores = values / f.size
+        order = self._ranked(np.abs(scores))
+        level = float(np.abs(scores).max())
+        b = cols[order] * sign[order, None] > 0
+        ranking = [(CutAtom(a[i] > 0, side), float(scores[i])) for i, side in zip(order, b)]
+        upper = level if self.exact else float(np.abs(f).mean())  # |<f, 1_{AxB}>| <= mean |f|
         return CorrelationScan(level, upper, self.exact, ranking[0][0] if ranking else None, ranking)
 
     # defined on the class itself so that per-class wrappers can replace it

@@ -95,15 +95,19 @@ class AtomSet:
         """(key, <f, atom>) pairs with |<f, atom>| >= eps - EPS_TOL, best first."""
         return self.scan(f).candidates(eps)
 
+    def _ranked(self, mags) -> np.ndarray:
+        """Indices of the ``max_candidates`` largest mags of at least MIN_CORR,
+        largest first, lower index first on ties; no full sort."""
+        k = min(self.max_candidates, mags.size)
+        floor = max(float(np.partition(mags, mags.size - k)[mags.size - k]), MIN_CORR)
+        idx = np.flatnonzero(mags >= floor)
+        return idx[np.lexsort((idx, -mags[idx]))][:k]
+
     def scan(self, f) -> CorrelationScan:
         corr = self.correlations(f)
         mags = np.abs(corr)
         best = int(np.argmax(mags))
-        # rank by (-|c|, key) only entries from the k-th largest up: no full sort
-        k = min(self.max_candidates, mags.size)
-        floor = max(float(np.partition(mags, mags.size - k)[mags.size - k]), MIN_CORR)
-        idx = np.flatnonzero(mags >= floor)
-        idx = idx[np.lexsort((idx, -mags[idx]))][:k]
+        idx = self._ranked(mags)
         ranking = list(zip(idx.tolist(), corr[idx].tolist()))
         level = float(mags[best])
         return CorrelationScan(lower=level, upper=level, exact=True, witness=best, ranking=ranking)

@@ -242,6 +242,6 @@ def correlation_search(f, d: int):
     f = np.asarray(f, dtype=float)
     n = cube_dim(f)
     atoms = reed_muller_atoms(n, d - 1)
-    corr = atoms.matrix @ f / f.size
+    corr = atoms.correlations(f)
     best = int(np.argmax(corr))
     return atoms.polynomial(best), float(corr[best])

@@ -354,13 +354,21 @@ def naive_staged_factor_split(weights, members, f, eps, growth):
         m_prev = width * width
 
 
-def naive_best_sides(sums):
+def cut_rounding_bound(f):
+    """How far two summation orders of one cut value <f, 1_{AxB}> (before
+    division by n^2) may differ: (n^2 + 2n) 2^-53 max|f|, times n^2."""
+    n = f.shape[0]
+    return (n * n + 2 * n) * 2.0**-53 * float(np.max(np.abs(f))) * n * n
+
+
+def naive_best_sides(sums, tol):
     """(value, mask) of the better sign for a vector of column (or row) sums:
     all positive entries if they outweigh the negative ones, else all
-    negative entries."""
+    negative entries; the two sums tie when their magnitudes lie within tol,
+    and a tie takes the positive entries."""
     pos, neg = sums > 0, sums < 0
     vplus, vminus = float(sums[pos].sum()), float(sums[neg].sum())
-    return (vplus, pos) if vplus >= -vminus else (vminus, neg)
+    return (vplus, pos) if vplus >= -vminus - tol else (vminus, neg)
 
 
 def naive_cut_pool(f, seed, starts, sweeps):
@@ -371,9 +379,12 @@ def naive_cut_pool(f, seed, starts, sweeps):
     The starts are V and then ``starts`` draws of rng.random(n) < 0.5 (empty
     ones skipped).  Each sweep takes the best B for the current A, then the
     best A for that B, and stops, keeping A, once the value no longer grows
-    by more than 1e-15; at most ``sweeps`` sweeps.
+    by more than ``cut_rounding_bound(f)``; at most ``sweeps`` sweeps.  Sides
+    are chosen with the same bound.  Values are one n^2-term dot of the outer
+    product with f.
     """
     n = f.shape[0]
+    tol = cut_rounding_bound(f)
     rng = np.random.default_rng(seed)
     draws = [np.ones(n, dtype=bool)] + [rng.random(n) < 0.5 for _ in range(starts)]
     found = {}
@@ -382,12 +393,12 @@ def naive_cut_pool(f, seed, starts, sweeps):
             continue
         prev = 0.0
         for _ in range(sweeps):
-            b_bool = naive_best_sides(a_bool.astype(float) @ f)[1]
-            value, a_new = naive_best_sides(f @ b_bool.astype(float))
-            if abs(value) <= abs(prev) + 1e-15:
+            b_bool = naive_best_sides(a_bool.astype(float) @ f, tol)[1]
+            value, a_new = naive_best_sides(f @ b_bool.astype(float), tol)
+            if abs(value) <= abs(prev) + tol:
                 break
             a_bool, prev = a_new, value
-        b_bool = naive_best_sides(a_bool.astype(float) @ f)[1]
+        b_bool = naive_best_sides(a_bool.astype(float) @ f, tol)[1]
         if not a_bool.any() or not b_bool.any():
             continue
         key = (tuple(np.flatnonzero(a_bool).tolist()), tuple(np.flatnonzero(b_bool).tolist()))

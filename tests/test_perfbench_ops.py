@@ -1,6 +1,10 @@
-"""The benchmark's arith-reg ops must exit 0 and pass the benchmark's own
-checker.  ``gen``, ``workloads`` and ``check`` are loaded from ``perfbench/``
-by path, as the benchmark runs them."""
+"""The benchmark's ops that exit 0 must keep doing so and pass the
+benchmark's own checker: both arith-reg ops, and five of the seven
+graph-regularity ops.  ``graph-reg-alt-sbm256`` and ``graph-reg-exact-sbm128``
+are left out: they exit 3, because on a shuffled block model the partition's
+parts are index chunks and those modes find more irregular pairs than
+eps * m'^2 allows (ROADMAP item 1).  ``gen``, ``workloads`` and ``check`` are loaded from
+``perfbench/`` by path, as the benchmark runs them."""
 
 import contextlib
 import importlib.util
@@ -31,9 +35,20 @@ gen, workloads, check = load("gen"), load("workloads"), load("check")
 OPS = {op.name: op for ops in workloads.WORKLOADS.values() for op in ops}
 
 
+PASSING = [
+    "arith-reg-subspace-n16",
+    "arith-reg-random-n16",
+    "graph-reg-gnp128",
+    "graph-reg-sbm256",
+    "weak-reg-sbm256",
+    "weak-reg-exact-n12",
+    "decompose-cuts-sbm128",
+]
+
+
 @pytest.mark.parametrize("seed", [7, 31, 101])
-@pytest.mark.parametrize("name", ["arith-reg-subspace-n16", "arith-reg-random-n16"])
-def test_arith_reg_op_exits_zero_and_passes_check(name, seed, tmp_path):
+@pytest.mark.parametrize("name", PASSING)
+def test_op_exits_zero_and_passes_check(name, seed, tmp_path):
     op = OPS[name]
     obj, _ = op.make(np.random.default_rng(seed))
     path = tmp_path / "input"
