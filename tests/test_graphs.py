@@ -172,8 +172,9 @@ class TestHeuristicCutPool:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_shuffled_blocks_with_rounding_level_ties(self, seed):
-        # at n = 40 the centring and the residual have exact sign ties (A = V)
-        # that summation order alone used to break differently
+        # the centring and the residual of these n = 40 graphs have exact
+        # sign ties at A = V, which the two summation orders break apart
+        # unless ties within the bound take the positive side
         for f in self.shuffled_blocks(40, seed):
             self.assert_matches_oracle(f, seed)
 
