@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .arithreg import arithmetic_regularize, indicator_from_set
-from .cube import MAX_CUBE_N, F2Polynomial, character_atoms, cube_dim, walsh_hadamard
+from .cube import MAX_CUBE_N, F2Polynomial, character_atoms, cube_dim, reed_muller_atoms, walsh_hadamard
 from .errors import BudgetExceededError, CertificateError, PreconditionError
 from .factors import (
     FiniteProbabilitySpace,
@@ -33,7 +33,7 @@ from .factors import (
     sparse_decompose,
 )
 from .gowers import MAX_D, _u2_power_by_shifts, gowers_norm, gowers_norm_u2_fft
-from .graphs import MAX_GRAPH_N, CutAtomSet, szemeredi_regularize, weak_regularize
+from .graphs import MAX_GRAPH_N, CutAtomSet, gnp_random_graph, szemeredi_regularize, weak_regularize
 from .hilbert import GrowthFunction, norm, orthogonal_weak_decompose, strong_decompose, weak_decompose
 from .inverse import inverse_99, inverse_100
 from .io import load_adjacency_binary, load_edge_list, load_subset, load_vector_binary, load_vector_json, partition_to_dot
@@ -162,8 +162,6 @@ def make_graph(args, rng) -> np.ndarray:
     params = parse_gen(args.gen, "graph")
     n = params["n"]
     if params["name"] == "gnp":
-        from .graphs import gnp_random_graph
-
         return gnp_random_graph(n, params["p"], rng)
     if params["name"] == "complete":
         g = np.ones((n, n))
@@ -223,8 +221,6 @@ def cmd_decompose(args, rng) -> tuple[dict, list]:
             f = f / nf
         reed_muller = re.fullmatch(r"reed-muller(?:-([0-9]+))?", args.atoms)
         if reed_muller:
-            from .cube import reed_muller_atoms
-
             atom_set = reed_muller_atoms(cube_dim(f), int(reed_muller.group(1) or 1))
         elif args.atoms == "characters":
             atom_set = character_atoms(cube_dim(f))

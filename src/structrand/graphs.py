@@ -32,6 +32,7 @@ CUT_STARTS = 64  # random restarts of the heuristic cut search, besides A = V
 CUT_SWEEPS = 40  # alternation rounds per cut-search start
 PAIR_RESTARTS = 8  # random starts per sign of the alternating pair search
 PAIR_SWEEPS = 25  # alternation rounds per pair-search start
+_PAIR_MODES = ("exact", "sampled", "alternating")
 
 
 def graph_from_edges(n: int, edges) -> np.ndarray:
@@ -127,8 +128,6 @@ class CutAtomSet(AtomSet):
     random restarts plus the all-vertices start and is flagged heuristic.
     """
 
-    max_candidates = 32
-
     def __init__(self, n: int, seed: int = 0):
         self.n = int(n)
         self.exact = self.n <= EXHAUSTIVE_CUT_LIMIT
@@ -167,8 +166,8 @@ class CutAtomSet(AtomSet):
         """One body for both branches, which differ only in where the A rows
         come from: the subset table, or the distinct ends of the heuristic
         search.  Each row's column sums give its best B and its score
-        a^T f b / n^2; the ranking is by |score|, exact ties going to the
-        earlier row, and the level is the top |score|.
+        a^T f b / n^2; the witness is the row of largest |score|, exact ties
+        going to the earlier row, and only its B mask is built.
 
         Tolerance: a score sums its |A| |B| terms f[v, w] as column sums and
         then one sum of n terms, off by at most 2n 2^-53 max|f| to first order
@@ -184,12 +183,11 @@ class CutAtomSet(AtomSet):
         cols = a @ f
         values, sign = _best_sides(cols, tol)
         scores = values / f.size
-        order = self._ranked(np.abs(scores))
-        level = float(np.abs(scores).max())
-        b = cols[order] * sign[order, None] > 0
-        ranking = [(CutAtom(a[i] > 0, side), float(scores[i])) for i, side in zip(order, b)]
-        upper = level if self.exact else float(np.abs(f).mean())  # |<f, 1_{AxB}>| <= mean |f|
-        return CorrelationScan(level, upper, self.exact, ranking[0][0] if ranking else None, ranking)
+        best = int(np.argmax(np.abs(scores)))
+        value = float(scores[best])
+        witness = CutAtom(a[best] > 0, cols[best] * sign[best] > 0)
+        upper = abs(value) if self.exact else float(np.abs(f).mean())  # |<f, 1_{AxB}>| <= mean |f|
+        return CorrelationScan(value, upper, self.exact, witness)
 
     # defined on the class itself so that per-class wrappers can replace it
     candidates = AtomSet.candidates
@@ -373,7 +371,7 @@ def regular_pair_check(g, rows, cols, eps, mode="exact", samples=200, seed=0):
         raise PreconditionError("parts must be non-empty")
     if not 0 < eps < 1:
         raise PreconditionError("eps must lie in (0, 1)")
-    if mode not in ("exact", "sampled", "alternating"):
+    if mode not in _PAIR_MODES:
         raise PreconditionError(f"unknown mode {mode!r}")
     if mode == "exact" and len(rows) > EXACT_PAIR_LIMIT:
         raise BudgetExceededError(f"exact mode caps parts at {EXACT_PAIR_LIMIT} vertices")
@@ -467,6 +465,8 @@ def szemeredi_regularize(
         raise PreconditionError("eps must lie in (0, 1)")
     if m < 1:
         raise PreconditionError("m must be at least 1")
+    if mode not in _PAIR_MODES:  # checked here too: with one part no pair is checked
+        raise PreconditionError(f"unknown mode {mode!r}")
     growth = GrowthFunction.arithmetic_regularity(eps)
     atoms = CutAtomSet(n, seed=seed)
     dec = strong_decompose(g, atoms, eps, growth)

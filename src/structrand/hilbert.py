@@ -50,39 +50,43 @@ def norm(f) -> float:
 class CorrelationScan:
     """Outcome of scanning an atom family against a fixed vector.
 
-    ``lower`` is the best |<f, v>| actually found, ``upper`` a certified upper
-    bound over the whole family.  For exact scans the two coincide.
-    ``ranking`` holds the (key, <f, atom>) pairs the search produced, best
-    first and at most the family's ``max_candidates`` of them.
+    ``witness`` is the atom the search found correlating most strongly with f
+    and ``value`` its <f, atom>; ``lower = |value|`` is the best level found
+    and ``upper`` a certified upper bound over the whole family.  For exact
+    scans the two coincide.
     """
 
-    lower: float
+    value: float
     upper: float
     exact: bool
-    witness: object = None
-    ranking: list = field(default_factory=list)
+    witness: object
+
+    @property
+    def lower(self) -> float:
+        return abs(self.value)
 
     def candidates(self, eps: float) -> list:
-        """The ranked pairs with |<f, atom>| >= eps - EPS_TOL, best first."""
-        thresh = max(eps - EPS_TOL, MIN_CORR)
-        return [(key, ip) for key, ip in self.ranking if abs(ip) >= thresh]
+        """[(witness, value)] when |value| >= eps - EPS_TOL, else []."""
+        if self.lower < max(eps - EPS_TOL, MIN_CORR):
+            return []
+        return [(self.witness, self.value)]
 
 
 class AtomSet:
     """A finite family of structured directions, each of norm at most 1.
 
     ``scan`` is the one search a family implements: it returns the
-    pseudorandomness level of f against the family together with the atoms
-    correlating with f most strongly, and ``candidates`` filters that ranking.
-    Families with a correlation table (``correlations``, the <f, atom> over
-    integer keys) inherit ``scan``; ``atom_vector`` gives the dense values of
-    one atom.  ``exact`` declares whether an empty search certifies that no
-    violating atom exists; heuristic sets must leave it False.
+    pseudorandomness level of f against the family together with the atom
+    correlating with f most strongly, and ``candidates`` tests that atom
+    against a threshold.  Families with a correlation table
+    (``correlations``, the <f, atom> over integer keys) inherit ``scan``;
+    ``atom_vector`` gives the dense values of one atom.  ``exact`` declares
+    whether a scan below a threshold certifies that no violating atom exists;
+    heuristic sets must leave it False.
     """
 
     exact: bool = True
     name: str = "atoms"
-    max_candidates: int = 64
 
     def atom_vector(self, key) -> np.ndarray:
         raise NotImplementedError
@@ -92,25 +96,15 @@ class AtomSet:
         raise NotImplementedError
 
     def candidates(self, f, eps: float) -> list:
-        """(key, <f, atom>) pairs with |<f, atom>| >= eps - EPS_TOL, best first."""
+        """[(key, <f, atom>)] for the best atom when it reaches eps - EPS_TOL, else []."""
         return self.scan(f).candidates(eps)
 
-    def _ranked(self, mags) -> np.ndarray:
-        """Indices of the ``max_candidates`` largest mags of at least MIN_CORR,
-        largest first, lower index first on ties; no full sort."""
-        k = min(self.max_candidates, mags.size)
-        floor = max(float(np.partition(mags, mags.size - k)[mags.size - k]), MIN_CORR)
-        idx = np.flatnonzero(mags >= floor)
-        return idx[np.lexsort((idx, -mags[idx]))][:k]
-
     def scan(self, f) -> CorrelationScan:
+        """The witness is the first key of largest |<f, atom>|."""
         corr = self.correlations(f)
-        mags = np.abs(corr)
-        best = int(np.argmax(mags))
-        idx = self._ranked(mags)
-        ranking = list(zip(idx.tolist(), corr[idx].tolist()))
-        level = float(mags[best])
-        return CorrelationScan(lower=level, upper=level, exact=True, witness=best, ranking=ranking)
+        best = int(np.argmax(np.abs(corr)))
+        value = float(corr[best])
+        return CorrelationScan(value, abs(value), True, best)
 
     def key_json(self, key):
         """JSON-serializable description of an atom key."""
@@ -306,8 +300,8 @@ def weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
     atoms = []
     trace = []
     scan = atom_set.scan(f_psd)
-    while found := scan.candidates(eps):
-        key, ip = found[0]
+    while scan.candidates(eps):
+        key, ip = scan.witness, scan.value
         v = atom_set.atom_vector(key)
         c = ip / inner_product(v, v)
         if abs(c) > 1.0 / eps + EPS_TOL:
@@ -336,9 +330,8 @@ def weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
     )
 
 
-# Atoms whose component orthogonal to the current span is shorter than this
-# are rejected (cannot happen for exact searches; the selected atom always
-# makes a definite angle with the span).
+# A witness whose component orthogonal to the current span is shorter than
+# this lies inside the span; see Span._select.
 SPAN_REJECT_TOL = 1e-8
 
 
@@ -377,19 +370,26 @@ class Span:
         return {"atoms": len(self.atoms), "energy_drop": drop}, drop
 
     def _select(self, threshold) -> bool:
-        """Add the first candidate outside the span; False when there is none."""
-        atom_set, size = self.atom_set, self.target.size
-        for key, _ in self.last.candidates(threshold):
-            v = np.asarray(atom_set.atom_vector(key), dtype=float).ravel()
-            u = v - self.basis.T @ (self.basis @ v / size)
-            u = u - self.basis.T @ (self.basis @ u / size)  # a second pass keeps it tight
-            nu = norm(u)
-            if nu >= SPAN_REJECT_TOL:
-                break
-            if atom_set.exact:
-                raise CertificateError("exact search proposed an atom inside the current span")
-        else:
+        """Add the witness of the last scan when it clears ``threshold``;
+        False when it does not.
+
+        A witness that clears the threshold is never inside the span: f_psd is
+        orthogonal to the span and has norm at most 1, so |<f_psd, v>| =
+        |<f_psd, v - Pv>| <= dist(v, span) for the projection P onto the span.
+        A witness at level t >= threshold thus lies at least t from the span,
+        and every stage that builds has t >= 1/complexity_cap (1e-6 by default)
+        or t = eps, far above SPAN_REJECT_TOL.  A witness inside the span
+        means the scan is wrong, for an exact family and a heuristic one alike.
+        """
+        if not self.last.candidates(threshold):
             return False
+        atom_set, size, key = self.atom_set, self.target.size, self.last.witness
+        v = np.asarray(atom_set.atom_vector(key), dtype=float).ravel()
+        u = v - self.basis.T @ (self.basis @ v / size)
+        u = u - self.basis.T @ (self.basis @ u / size)  # a second pass keeps it tight
+        nu = norm(u)
+        if nu < SPAN_REJECT_TOL:
+            raise CertificateError("search proposed an atom inside the current span")
         k = len(self.keys)
         if k >= _iteration_budget(threshold):
             raise CertificateError("energy argument violated: budget exceeded")

@@ -364,11 +364,13 @@ class TestExitCodes:
             (["gowers", "--gen", "random:n=3,foo=2"], 2),
             (["arith-reg", "--gen", "random:n=4"], 2),
             (["gowers", "--gen", "random:n=40"], 4),
+            # one part, so no pair check would see the mode
+            (["graph-reg", "--gen", "gnp:n=128", "--eps", "0.99", "--m", "1", "--mode", "bogus"], 2),
         ],
         ids=["eps-0", "m-0", "eps-2-strong", "eps-2-sparse", "cube-n-neg", "subset-n-neg",
              "gnp-n-neg", "cube-n-fraction", "gnp-n-0", "sparse-N-0", "sparse-N-1", "gnp-p-2",
              "flip-2", "degree-0", "degree-over-n", "growth-exp-abc", "growth-linear-abc",
-             "unknown-key", "subset-from-cube-generator", "cube-cap"],
+             "unknown-key", "subset-from-cube-generator", "cube-cap", "mode-with-one-part"],
     )
     def test_bad_generator_or_option(self, argv, code, capsys):
         # refused before any input of 2^n values is allocated

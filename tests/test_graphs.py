@@ -114,24 +114,29 @@ class TestCutAtomSearch:
 
 
 class TestHeuristicCutPool:
-    """The batched heuristic search ranks the atoms of the one-start-at-a-time
-    search, within the rounding bound that ``CutAtomSet.scan`` documents."""
+    """The batched heuristic search ends on the pairs of the one-start-at-a-time
+    search, and its witness is their top, within the rounding bound that
+    ``CutAtomSet.scan`` documents."""
 
     @staticmethod
     def assert_matches_oracle(f, seed):
-        """The same candidates, each score within the bound of the oracle's,
-        in an order that differs from the oracle's only between candidates
-        whose oracle scores lie within twice the bound."""
-        scan = CutAtomSet(f.shape[0], seed=seed).scan(f)
+        """The same A sides; a level within the bound of the oracle's top
+        |score|; and a witness among the oracle's pairs whose oracle |score|
+        lies within twice the bound of that top."""
+        atoms = CutAtomSet(f.shape[0], seed=seed)
+        scan = atoms.scan(f)
         assert not scan.exact
         bound = cut_rounding_bound(f) / f.size
-        expected = dict(naive_cut_pool(f, seed, CUT_STARTS, CUT_SWEEPS)[: CutAtomSet.max_candidates])
-        got = [((tuple(a.to_json()["A"]), tuple(a.to_json()["B"])), ip) for a, ip in scan.ranking]
-        assert len(got) == len(expected)
-        assert {key for key, _ in got} == set(expected)
-        assert all(abs(ip - expected[key]) <= bound for key, ip in got)
-        oracle = np.abs([expected[key] for key, _ in got])
-        assert np.all(oracle <= np.minimum.accumulate(oracle) + 2 * bound)
+        expected = dict(naive_cut_pool(f, seed, CUT_STARTS, CUT_SWEEPS))
+        pool = atoms._heuristic_pool(f, cut_rounding_bound(f)) > 0
+        assert {tuple(np.flatnonzero(a).tolist()) for a in pool if a.any()} == {
+            a for a, _ in expected
+        }
+        top = max(abs(ip) for ip in expected.values())
+        assert abs(scan.lower - top) <= bound
+        side = scan.witness.to_json()
+        key = (tuple(side["A"]), tuple(side["B"]))
+        assert abs(expected[key]) >= top - 2 * bound
 
     @staticmethod
     def graphs(n, seed):
@@ -181,13 +186,16 @@ class TestHeuristicCutPool:
 
 @pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 13, 24, 40])
 def test_scan_level_is_the_top_ranked_score(n):
-    """Both branches read the level off the ranked scores, so it is the top
-    |score| to the last bit, not a second sum of the same terms."""
+    """Both branches read the level off the witness's own score, so it is
+    that score to the last bit, and a direct sum over the witness's outer
+    product agrees within the rounding bound."""
     for seed in range(40):
         f = np.random.default_rng(seed).uniform(-1, 1, (n, n))
         scan = CutAtomSet(n, seed=seed).scan(f)
         assert scan.exact == (n <= 12)
-        assert scan.lower == abs(scan.ranking[0][1])
+        assert scan.lower == abs(scan.value)
+        direct = inner_product(f, scan.witness.values())
+        assert abs(direct - scan.value) <= cut_rounding_bound(f) / f.size
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,6 +9,7 @@ from structrand import (
     BudgetExceededError,
     CertificateError,
     CharacterAtomSet,
+    CorrelationScan,
     CutAtomSet,
     DenseAtomSet,
     Factor,
@@ -441,22 +442,16 @@ class TestOneScanPerResidual:
 
 class TestRankedCandidates:
     """candidates() against direct sums on dyadic inputs, whose correlations
-    are exact, so ties are exact too and break by key."""
+    are exact, so ties are exact too and go to the lowest key."""
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(1, 6),
-        seed=SEEDS,
-        eps=st.sampled_from([0.0625, 0.125, 0.25, 0.5]),
-        limit=st.sampled_from([1, 3, 8, 64]),
-    )
-    def test_characters(self, n, seed, eps, limit):
+    @given(n=st.integers(1, 6), seed=SEEDS, eps=st.sampled_from([0.0625, 0.125, 0.25, 0.5]))
+    def test_characters(self, n, seed, eps):
         rng = np.random.default_rng(seed)
         f = rng.integers(-4, 5, 1 << n) / 4.0
         atoms = character_atoms(n)
-        atoms.max_candidates = limit
         rows = [atoms.atom_vector(k) for k in range(len(atoms))]
-        assert atoms.candidates(f, eps) == naive_ranked_candidates(rows, f, eps, limit)
+        assert atoms.candidates(f, eps) == naive_ranked_candidates(rows, f, eps, limit=1)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=SEEDS, eps=st.sampled_from([0.125, 0.25, 0.5]))
@@ -464,5 +459,26 @@ class TestRankedCandidates:
         rng = np.random.default_rng(seed)
         atoms = reed_muller_atoms(4, 2)
         f = rng.integers(-4, 5, 16) / 4.0
-        expected = naive_ranked_candidates(atoms.matrix, f, eps, atoms.max_candidates)
+        expected = naive_ranked_candidates(atoms.matrix, f, eps, limit=1)
         assert atoms.candidates(f, eps) == expected
+
+
+class StuckAtoms(DenseAtomSet):
+    """A broken search that always names atom 0 at level 1/2, even once
+    atom 0 is in the span and f_psd is orthogonal to it."""
+
+    def scan(self, f):
+        return CorrelationScan(0.5, 0.5, self.exact, 0)
+
+
+class TestWitnessInsideSpan:
+    """A witness that clears the threshold lies at least that far from the
+    span, so one inside it is a broken search, exact or heuristic alike."""
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("split", ["orthogonal", "strong"])
+    def test_raises(self, exact, split):
+        atoms = StuckAtoms(np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]]))
+        atoms.exact = exact
+        with pytest.raises(CertificateError, match="inside the current span"):
+            run_split(split, 0.5 * atoms.atom_vector(0), atoms, 0.25)
