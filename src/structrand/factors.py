@@ -18,7 +18,7 @@ from .errors import (
     MajorantViolationError,
     PreconditionError,
 )
-from .hilbert import EPS_TOL, GrowthFunction, _iteration_budget, run_stages
+from .hilbert import EPS_TOL, RECON_TOL, GrowthFunction, _check_eps, _iteration_budget, run_stages
 
 
 class FiniteProbabilitySpace:
@@ -78,7 +78,6 @@ class Factor:
     values.  Integer labels in [0, N) on N points are ranked by counting
     (the count array is no longer than the labels; labels holding every value
     up to their largest are already ranked); any other labels are sorted.
-    Atom masses are kept for the last space they were counted on.
     """
 
     def __init__(self, labels):
@@ -97,7 +96,6 @@ class Factor:
             _, inverse = np.unique(labels, return_inverse=True)
         self.labels = inverse.astype(np.int64, copy=False)
         self.num_atoms = int(self.labels.max()) + 1 if self.labels.size else 0
-        self._masses = (None, None)
 
     @classmethod
     def trivial(cls, n: int):
@@ -116,11 +114,9 @@ class Factor:
 
     def masses(self, space: FiniteProbabilitySpace) -> np.ndarray:
         """The measure of every atom under ``space``."""
-        counted_on, masses = self._masses
-        if counted_on is not space:
-            masses = np.bincount(self.labels, weights=space.weights, minlength=self.num_atoms)
-            self._masses = (space, masses)
-        return masses
+        if self.labels.size != space.size:
+            raise PreconditionError("the factor and the space live on different ground sets")
+        return np.bincount(self.labels, weights=space.weights, minlength=self.num_atoms)
 
     def join(self, other: "Factor") -> "Factor":
         if self.labels.size != other.labels.size:
@@ -136,12 +132,12 @@ class Factor:
         return isinstance(other, Factor) and np.array_equal(self.labels, other.labels)
 
 
-@dataclass
 class FactorFamily:
-    """The structure stock: an indexed finite collection of factors."""
+    """The structure stock: an indexed finite collection of factors, fixed
+    at construction."""
 
-    members: list
-    _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, members):
+        self.members, self._table = tuple(members), None
 
     def __len__(self):
         return len(self.members)
@@ -155,10 +151,9 @@ class FactorFamily:
         joined with the members, built afresh."""
         if base is not None and base.num_atoms > 1:
             return AtomTable(self.members, size, base)
-        # kept with the members it was built from, so a changed list rebuilds it
-        if self._table is None or list(map(id, self._table[0])) != list(map(id, self.members)):
-            self._table = (tuple(self.members), AtomTable(self.members, size))
-        return self._table[1]
+        if self._table is None:
+            self._table = AtomTable(self.members, size)
+        return self._table
 
     def projections(self, space, f) -> np.ndarray:
         """||E(f | Y)||_2 for every member Y, in member order, from the atom
@@ -240,8 +235,9 @@ def conditional_expectation(space: FiniteProbabilitySpace, f, factor: Factor):
     return averages[factor.labels]
 
 
-def projection_norm(space, f, factor) -> float:
-    return float(FactorFamily([factor]).projections(space, f)[0])
+def projection_norm(space, f, factor: Factor) -> float:
+    """||E(f | factor)||_2."""
+    return math.sqrt(_atom_averages(space, space.weights * np.asarray(f, dtype=float), factor)[1])
 
 
 def majorant_level(space, weighted_nu, eta, factor, members) -> float:
@@ -337,55 +333,19 @@ class Refinement:
 
 
 @dataclass
-class WeakFactorSplit:
-    member_indices: list
-    factor: Factor
-    f_str: np.ndarray
-    f_psd: np.ndarray
-    iterations: int
-    trace: list = field(default_factory=list)
-
-    @property
-    def complexity(self):
-        return len(self.member_indices)
-
-
-def weak_factor_decompose(
-    space,
-    f,
-    base: Factor,
-    family: FactorFamily,
-    eps: float,
-) -> WeakFactorSplit:
-    """Join stock factors onto ``base`` until the residual projects small.
-
-    f_str = E(f | base joined with the selections), f_psd = f - f_str with
-    every stock projection of f_psd at most eps.  Requires ||f||_2 <= 1 and
-    finishes within 1/eps^2 steps.
-    """
-    f = np.asarray(f, dtype=float)
-    if not 0 < eps <= 1:
-        raise PreconditionError("eps must lie in (0, 1]")
-    if space.l2(f) > 1.0 + EPS_TOL:
-        raise PreconditionError("||f||_2 must be at most 1")
-    split = Refinement(space, f, family, base)
-    split.grow(eps)
-    factor = split.table.lift(split.factor)
-    return WeakFactorSplit(
-        split.members, factor, split.f_str, f - split.f_str, len(split.members), split.trace
-    )
-
-
-@dataclass
 class FactorDecomposition:
-    """Certified three-part factor split f = f_str + f_psd + f_err."""
+    """Certified three-part factor split f = f_str + f_psd + f_err.
+
+    ``pseudo_found`` is the largest stock projection of f_psd in the scan that
+    ended the split, and ``trace`` the per-join records of its last stage.
+    """
 
     factor: Factor
     member_indices: list
     f_str: np.ndarray
     f_psd: np.ndarray
     f_err: np.ndarray
-    growth_m: int
+    growth_m: int | None
     complexity: int
     pseudorandomness_eps: float
     pseudo_found: float
@@ -393,6 +353,7 @@ class FactorDecomposition:
     stage_index: int
     stages: list = field(default_factory=list)
     majorant_linf: float | None = None
+    trace: list = field(default_factory=list)
 
     def reconstruct(self):
         return self.f_str + self.f_psd + self.f_err
@@ -413,10 +374,10 @@ class FactorDecomposition:
 
     def verify(self, space, f, family: FactorFamily) -> None:
         f = np.asarray(f, dtype=float)
-        if space.l2(f - self.reconstruct()) > 1e-10:
+        if space.l2(f - self.reconstruct()) > RECON_TOL:
             raise CertificateError("reconstruction failed")
         expected = conditional_expectation(space, f, self.factor)
-        if space.l2(self.f_str - expected) > 1e-10:
+        if space.l2(self.f_str - expected) > RECON_TOL:
             raise CertificateError("f_str is not E(f | factor)")
         if space.l2(self.f_err) > self.error_norm + EPS_TOL:
             raise CertificateError("f_err exceeds the certified bound")
@@ -425,6 +386,43 @@ class FactorDecomposition:
             raise CertificateError(
                 f"f_psd projects at {worst}, above {self.pseudorandomness_eps}"
             )
+
+
+def weak_factor_decompose(
+    space,
+    f,
+    base: Factor,
+    family: FactorFamily,
+    eps: float,
+) -> FactorDecomposition:
+    """Join stock factors onto ``base`` until the residual projects small.
+
+    f_str = E(f | base joined with the selections), f_psd = f - f_str with
+    every stock projection of f_psd at most eps, and f_err = 0.  Requires
+    ||f||_2 <= 1 and finishes within 1/eps^2 steps.
+    """
+    f = np.asarray(f, dtype=float)
+    _check_eps(eps)
+    if space.l2(f) > 1.0 + EPS_TOL:
+        raise PreconditionError("||f||_2 must be at most 1")
+    split = Refinement(space, f, family, base)
+    fields, _ = split.grow(eps)
+    return FactorDecomposition(
+        factor=split.table.lift(split.factor),
+        member_indices=split.members,
+        f_str=split.f_str,
+        f_psd=f - split.f_str,
+        f_err=np.zeros_like(f),
+        growth_m=None,
+        complexity=len(split.members),
+        pseudorandomness_eps=eps,
+        # the scan that ended the split ran on this same residual
+        pseudo_found=float(split.levels.max(initial=0.0)),
+        error_norm=0.0,
+        stage_index=1,
+        stages=[{"threshold": eps, **fields}],
+        trace=split.trace,
+    )
 
 
 def strong_factor_decompose(
@@ -480,6 +478,7 @@ def strong_factor_decompose(
         stage_index=len(stages),
         stages=stages,
         majorant_linf=refinement.majorant_linf,
+        trace=refinement.trace,
     )
 
 
@@ -491,7 +490,6 @@ def sparse_decompose(
     eps: float,
     growth: GrowthFunction,
     eta: float,
-    **kwargs,
 ) -> FactorDecomposition:
     """Structure theorem under a pseudorandom majorant instead of boundedness.
 
@@ -509,7 +507,7 @@ def sparse_decompose(
         raise PreconditionError("the majorant must be non-negative")
     if np.any((f < -1e-12) | (f > nu + 1e-9)):
         raise PreconditionError("need 0 <= f <= nu pointwise")
-    dec = strong_factor_decompose(space, f, family, eps, growth, majorant=(nu, eta), **kwargs)
+    dec = strong_factor_decompose(space, f, family, eps, growth, majorant=(nu, eta))
     if np.any(dec.f_str < -1e-9) or np.any(dec.f_str > 1.0 + eta + 1e-9):
         raise CertificateError("f_str escaped [0, 1 + eta]")
     # E(f | Y) keeps the integral exactly; each of the two length-N weighted

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -206,14 +206,7 @@ class PairWitness:
     threshold: float
 
     def to_json(self):
-        return {
-            "rows": list(self.rows),
-            "cols": list(self.cols),
-            "edges": self.edges,
-            "expected": self.expected,
-            "deviation": self.deviation,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -226,14 +219,7 @@ class PairVerdict:
     checked: int = 0
 
     def to_json(self):
-        return {
-            "status": self.status,
-            "mode": self.mode,
-            "eps": self.eps,
-            "density": self.density,
-            "witness": self.witness.to_json() if self.witness else None,
-            "checked": self.checked,
-        }
+        return asdict(self)
 
 
 def _pair_witness(rows, cols, block, sel_r, sel_c, delta, eps):

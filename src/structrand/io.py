@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .errors import PreconditionError
+from .graphs import graph_from_edges
 
 
 def _read_text(path, what):
@@ -96,22 +97,26 @@ def load_vector_binary(path) -> np.ndarray:
 
 
 def subset_to_hex(points, n: int) -> str:
-    mask = 0
-    for p in points:
-        if not 0 <= int(p) < 1 << n:
-            raise PreconditionError(f"point {p} outside the cube")
-        mask |= 1 << int(p)
-    return f"{mask:x}"
+    """The bit mask of a sequence of points, bit x for point x, as hex."""
+    index = np.asarray(points)
+    outside = np.flatnonzero((index < 0) | (index >= 1 << n))
+    if outside.size:
+        raise PreconditionError(f"point {index[outside[0]]} outside the cube")
+    bits = np.zeros(1 << n, dtype=np.uint8)
+    bits[index.astype(np.int64)] = 1
+    return f"{int.from_bytes(np.packbits(bits, bitorder='little').tobytes(), 'little'):x}"
 
 
 def subset_from_hex(text: str, n: int) -> list:
+    """The sorted points of a hex bit mask, refusing one wider than the cube."""
     try:
         mask = int(text.strip(), 16)
     except ValueError:
         raise PreconditionError(f"subset mask {text.strip()!r} is not hexadecimal") from None
     if mask < 0 or mask >> (1 << n):
         raise PreconditionError(f"subset mask is wider than the {1 << n} points of the cube")
-    return [x for x in range(1 << n) if (mask >> x) & 1]
+    raw = np.frombuffer(mask.to_bytes(((1 << n) + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
 def save_subset_hex(path, points, n):
@@ -169,8 +174,6 @@ def load_edge_list(path, n: int | None = None):
         n = 1 + int(ends.max(initial=-1))
     if n < 1:
         raise PreconditionError("edge list has no vertices")
-    from .graphs import graph_from_edges
-
     return n, graph_from_edges(n, ends)
 
 

@@ -481,3 +481,26 @@ def naive_edge_list(path, n=None, cap=4096):
         if u != v:
             g[u, v] = g[v, u] = 1.0
     return n, g
+
+
+HEX_DIGITS = "0123456789abcdef"
+
+
+def naive_subset_to_hex(points, n):
+    """The hex bit mask of a set of points (bit x set for point x), one hex
+    digit of four bits at a time from the lowest; "0" for the empty set."""
+    members = set(points)
+    digits = [
+        HEX_DIGITS[sum(1 << b for b in range(4) if 4 * d + b in members)]
+        for d in range(((1 << n) + 3) // 4)
+    ]
+    return "".join(reversed(digits)).lstrip("0") or "0"
+
+
+def naive_hex_to_subset(text):
+    """The sorted points of a hex bit mask, one digit at a time from the lowest."""
+    points = []
+    for d, char in enumerate(reversed(text.strip().lower())):
+        value = HEX_DIGITS.index(char)
+        points += [4 * d + b for b in range(4) if (value >> b) & 1]
+    return sorted(points)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import reduce
 
@@ -144,8 +145,8 @@ class TestConditionalExpectation:
         assert space.inner(ef, g) == pytest.approx(space.inner(f, eg), abs=1e-12)
 
     def test_masses_follow_the_space(self):
-        # one factor used on two spaces in turn: its kept masses must never
-        # be those of the other space
+        # one factor used on two spaces in turn: its masses are always those
+        # of the space at hand
         rng = np.random.default_rng(11)
         labels = rng.integers(0, 4, 24)
         labels[:4] = [0, 1, 2, 3]
@@ -235,6 +236,36 @@ class TestAtomSumNorms:
         space = FiniteProbabilitySpace(w)
         level = majorant_level(space, w * nu, 1e9, Factor(labels), ())
         assert level == space.linf(naive_conditional_expectation(w, nu, labels))
+
+
+class TestProjectionNorm:
+    """||E(f | Y)|| read off Y's own atoms is the one-member stock's scan."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 60),
+        width=st.sampled_from([0.1, 0.4, 1.5]),
+        weighted=st.booleans(),
+    )
+    def test_matches_one_member_stock_bit_for_bit(self, seed, size, width, weighted):
+        rng = np.random.default_rng(seed)
+        y = level_set_factor(rng.standard_normal(size), width)  # negative labels too
+        space = FiniteProbabilitySpace.uniform(size)
+        if weighted:
+            w = rng.random(size)
+            w[rng.random(size) < 0.2] = 0.0
+            assume(w.sum() > 0)
+            space = FiniteProbabilitySpace(w / w.sum())
+        f = rng.standard_normal(size)
+        assert projection_norm(space, f, y) == FactorFamily([y]).projections(space, f)[0]
+
+    def test_other_ground_set_refused(self):
+        space = FiniteProbabilitySpace.uniform(8)
+        y = Factor(np.arange(6) % 2)
+        for call in (projection_norm, conditional_expectation):
+            with pytest.raises(PreconditionError, match="ground sets"):
+                call(space, np.ones(8), y)
 
 
 class TestScanShape:
@@ -355,6 +386,7 @@ class TestAtomTable:
         assert abs(refinement.majorant_linf - max(expected)) <= bound
 
         split = weak_factor_decompose(space, f, base, family, eps)
+        split.verify(space, f, family)
         chosen = [family[i] for i in split.member_indices]
         assert split.factor == reduce(Factor.join, chosen, base)
         f_str = naive_conditional_expectation(w, f, split.factor.labels)
@@ -501,6 +533,7 @@ class TestEnergyIncrement:
         f /= space.l2(f)
         base = Factor.trivial(64)
         split = weak_factor_decompose(space, f, base, family, 0.05)
+        split.verify(space, f, family)
         assert split.member_indices
         idx = split.member_indices[0]
         joined = base.join(family[idx])
@@ -537,6 +570,7 @@ class TestWeakFactorDecompose:
         f = conditional_expectation(space, rng.standard_normal(64), member)
         f /= space.l2(f)
         split = weak_factor_decompose(space, f, Factor.trivial(64), family, 0.1)
+        split.verify(space, f, family)
         assert split.complexity == 1
         assert space.l2(split.f_psd) <= 0.1 + 1e-9
 
@@ -548,10 +582,60 @@ class TestWeakFactorDecompose:
             f = rng.standard_normal(64)
             f /= space.l2(f)
             split = weak_factor_decompose(space, f, Factor.trivial(64), family, 0.3)
+            split.verify(space, f, family)
             assert split.complexity <= math.floor(1 / 0.09)
             for member in family.members:
                 assert projection_norm(space, split.f_psd, member) <= 0.3 + 1e-9
             assert np.allclose(split.f_str + split.f_psd, f)
+
+    def test_certificate_fields(self):
+        rng = np.random.default_rng(12)
+        space = FiniteProbabilitySpace.uniform(64)
+        family = FactorFamily([random_factor(rng, 64, 2) for _ in range(6)])
+        f = (family[2].labels == 0) + 0.3 * rng.standard_normal(64)
+        f /= space.l2(f)
+        split = weak_factor_decompose(space, f, Factor.trivial(64), family, 0.1)
+        assert split.member_indices
+        assert [t["member"] for t in split.trace] == split.member_indices
+        assert split.trace[-1]["energy"] == pytest.approx(space.l2(split.f_str) ** 2, abs=1e-12)
+        # the gain counts from the energy of E(f | trivial factor), the mean squared
+        gain = split.trace[-1]["energy"] - space.integral(f) ** 2
+        assert split.stages == [
+            {
+                "threshold": 0.1,
+                "joins": split.complexity,
+                "energy_gain": pytest.approx(gain, abs=1e-12),
+                "members": split.member_indices,
+            }
+        ]
+        assert not split.f_err.any() and split.error_norm == 0.0 and split.growth_m is None
+        levels = family.projections(space, split.f_psd)
+        assert split.pseudo_found == pytest.approx(levels.max(), abs=1e-12)
+        assert split.pseudo_found <= split.pseudorandomness_eps == 0.1
+
+    def test_verify_refuses_tampered_parts(self):
+        rng = np.random.default_rng(12)
+        eps = 0.1
+        space = FiniteProbabilitySpace.uniform(64)
+        family = FactorFamily([random_factor(rng, 64, 2) for _ in range(6)])
+        f = (family[2].labels == 0) + 0.3 * rng.standard_normal(64)
+        f /= space.l2(f)
+        split = weak_factor_decompose(space, f, Factor.trivial(64), family, eps)
+        split.verify(space, f, family)
+        # f_psd pushed along a member it was not joined on, orthogonally to
+        # the factor, so that f_str stays E(f | factor) and the parts still sum
+        outside = next(i for i in range(len(family)) if i not in split.member_indices)
+        g = np.where(family[outside].labels == 0, 1.0, -1.0)
+        push = g - conditional_expectation(space, g, split.factor)
+        push *= 3 * eps / projection_norm(space, push, family[outside])
+        pushed = dataclasses.replace(split, f_psd=split.f_psd + push)
+        with pytest.raises(CertificateError, match="f_psd projects"):
+            pushed.verify(space, f + push, family)
+        # a part of f_psd moved into f_str: the sum holds, f_str is off
+        delta = 1e-3 * rng.standard_normal(64)
+        moved = dataclasses.replace(split, f_str=split.f_str + delta, f_psd=split.f_psd - delta)
+        with pytest.raises(CertificateError, match="f_str is not"):
+            moved.verify(space, f, family)
 
 
 class TestStrongFactorDecompose:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -250,6 +251,28 @@ class TestRegularPairCheck:
         e = count_edges(g, w.rows, w.cols)
         assert e == pytest.approx(w.edges)
         assert abs(e - verdict.density * len(w.rows) * len(w.cols)) > w.threshold
+
+    def test_refuted_verdict_json_keeps_its_fields(self):
+        # the report form of a refuted pair, as a hand-written dict of every field
+        verdict = regular_pair_check(half_graph(16), range(16), range(16, 32), 0.1, mode="exact")
+        w = verdict.witness
+        expected = {
+            "status": "irregular",
+            "mode": "exact",
+            "eps": 0.1,
+            "density": verdict.density,
+            "witness": {
+                "rows": list(w.rows),
+                "cols": list(w.cols),
+                "edges": w.edges,
+                "expected": w.expected,
+                "deviation": w.deviation,
+                "threshold": w.threshold,
+            },
+            "checked": verdict.checked,
+        }
+        assert json.dumps(verdict.to_json()) == json.dumps(expected)
+        assert json.dumps(w.to_json()) == json.dumps(expected["witness"])
 
     def test_exact_agrees_with_bruteforce(self):
         rng = np.random.default_rng(4)
