@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -147,11 +148,11 @@ class FactorFamily:
 
     def table(self, size: int, base: Factor | None = None) -> "AtomTable":
         """The atom table of the members' common refinement on ``size`` points,
-        built once per stock; with a ``base`` of more than one atom, of base
-        joined with the members, built afresh."""
+        kept until a scan on another number of points; with a ``base`` of more
+        than one atom, of base joined with the members, built afresh."""
         if base is not None and base.num_atoms > 1:
             return AtomTable(self.members, size, base)
-        if self._table is None:
+        if self._table is None or self._table.factor.labels.size != size:
             self._table = AtomTable(self.members, size)
         return self._table
 
@@ -372,8 +373,15 @@ class FactorDecomposition:
             "atom_count": self.factor.num_atoms,
         }
 
-    def verify(self, space, f, family: FactorFamily) -> None:
+    def verify(self, space, f, family: FactorFamily, base: Factor | None = None) -> None:
+        """Re-derive every certified claim for a split that started from
+        ``base`` (the trivial factor by default)."""
         f = np.asarray(f, dtype=float)
+        parts = ([] if base is None else [base]) + [family[i] for i in self.member_indices]
+        # with nothing to join, the factor must be trivial: one atom
+        matches = reduce(Factor.join, parts) == self.factor if parts else self.factor.num_atoms == 1
+        if not matches:
+            raise CertificateError("factor is not the base joined with the recorded members")
         if space.l2(f - self.reconstruct()) > RECON_TOL:
             raise CertificateError("reconstruction failed")
         expected = conditional_expectation(space, f, self.factor)

@@ -296,7 +296,6 @@ def weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
     f = _unit_vector(f)
     budget = _iteration_budget(eps)
     f_psd = f.copy()
-    f_str = np.zeros_like(f)
     atoms = []
     trace = []
     scan = atom_set.scan(f_psd)
@@ -308,8 +307,7 @@ def weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
             raise CertificateError("projection coefficient exceeds 1/eps")
         if len(atoms) >= budget:
             raise CertificateError("energy argument violated: budget exceeded")
-        f_psd = f_psd - c * v
-        f_str = f_str + c * v
+        f_psd -= c * v
         atoms.append((key, c))
         trace.append(
             {"atom": atom_set.key_json(key), "coefficient": c, "energy": inner_product(f_psd, f_psd)}
@@ -317,7 +315,7 @@ def weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
         scan = atom_set.scan(f_psd)
     return Decomposition(
         atoms=atoms,
-        f_str=f_str,
+        f_str=f - f_psd,
         f_psd=f_psd,
         f_err=np.zeros_like(f),
         complexity_m=budget,
@@ -336,16 +334,17 @@ SPAN_REJECT_TOL = 1e-8
 
 
 class Span:
-    """A stage's projection f_str of ``target`` onto the span of the atoms it
-    selects, whose orthonormal basis is the rows of ``basis``; f_psd is
-    target - f_str, and ``atoms`` expands f_str over the raw atoms.  Each stage
-    projects the residual of the committed ones (``kept_str``, ``kept_atoms``).
-    ``last`` is the scan of f_psd, run again only when f_psd moves."""
+    """A stage's projection of ``target`` onto the span of the atoms it
+    selects: the rows of ``_rows`` are an orthonormal basis q_i, ``proj`` the
+    <target, q_i>, and the Gram-Schmidt triangle R (``_tri``, diagonal above
+    SPAN_REJECT_TOL) has atom j = sum_i R[i, j] q_i, so the atoms' coefficients
+    solve R c = proj.  f_psd = target - projection is the one running vector;
+    ``keep`` commits the stage (``kept_atoms``) and copies f_psd into
+    ``target``.  ``last`` is the scan of f_psd, run again only when it moves."""
 
     def __init__(self, f, atom_set: AtomSet, complexity_cap=math.inf):
         self.atom_set, self.complexity_cap = atom_set, complexity_cap
-        self.kept_str, self.kept_atoms = np.zeros_like(f), []
-        self.f_str, self.f_psd, self.atoms = np.zeros_like(f), np.array(f, dtype=float), []
+        self.f_psd, self.atoms, self.kept_atoms = np.array(f, dtype=float), [], []
         self.last = atom_set.scan(self.f_psd)
         self.keep()
 
@@ -354,14 +353,11 @@ class Span:
         left; returns (stage record fields, energy moved by the stage)."""
         while self._select(threshold):
             pass
-        if self.keys:
-            gram = self.raw @ self.raw.T / self.target.size
-            rhs = self.raw @ self.target.ravel() / self.target.size
-            try:
-                coeffs = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                coeffs = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-            self.atoms = list(zip(self.keys, (float(c) for c in coeffs)))
+        k = len(self.keys)
+        tri, coeffs = self._tri[:k, :k], np.zeros(k)
+        for j in reversed(range(k)):  # back-substitution in R c = proj
+            coeffs[j] = (self.proj[j] - tri[j, j + 1 :] @ coeffs[j + 1 :]) / tri[j, j]
+        self.atoms = list(zip(self.keys, coeffs.tolist()))
         if len(self.kept_atoms) + len(self.atoms) > self.complexity_cap:
             raise BudgetExceededError(
                 "total structured complexity exceeded the cap", partial={"atoms": self.kept_atoms}
@@ -384,25 +380,28 @@ class Span:
         if not self.last.candidates(threshold):
             return False
         atom_set, size, key = self.atom_set, self.target.size, self.last.witness
+        k = len(self.keys)
+        basis = self._rows[:k]
         v = np.asarray(atom_set.atom_vector(key), dtype=float).ravel()
-        u = v - self.basis.T @ (self.basis @ v / size)
-        u = u - self.basis.T @ (self.basis @ u / size)  # a second pass keeps it tight
+        r1 = basis @ v / size
+        u = v - basis.T @ r1
+        r2 = basis @ u / size  # a second pass keeps it tight
+        u -= basis.T @ r2
         nu = norm(u)
         if nu < SPAN_REJECT_TOL:
             raise CertificateError("search proposed an atom inside the current span")
-        k = len(self.keys)
         if k >= _iteration_budget(threshold):
             raise CertificateError("energy argument violated: budget exceeded")
-        if k == self._rows.shape[1]:  # double the capacity: O(1) amortized copies per atom
-            grown = np.empty((2, 2 * k or 1, size))
-            grown[:, :k] = self._rows
-            self._rows = grown
-        self._rows[0, k], self._rows[1, k] = v, u / nu
-        self.raw, self.basis = self._rows[0, : k + 1], self._rows[1, : k + 1]
+        if k == len(self._rows):  # double the capacity: O(1) amortized copies per atom
+            rows, tri = np.empty((2 * k or 1, size)), np.zeros((2 * k or 1,) * 2)
+            rows[:k], tri[:k, :k] = self._rows, self._tri
+            self._rows, self._tri = rows, tri
+        self._rows[k] = u / nu
+        self._tri[:k, k], self._tri[k, k] = r1 + r2, nu
         self.keys.append(key)
-        q = self.basis[-1].reshape(self.target.shape)
-        self.f_str = self.f_str + inner_product(self.target, q) * q
-        self.f_psd = self.target - self.f_str
+        q = self._rows[k].reshape(self.target.shape)
+        self.proj.append(inner_product(self.target, q))
+        self.f_psd -= self.proj[-1] * q
         energy = inner_product(self.f_psd, self.f_psd)
         self.trace.append({"atom": atom_set.key_json(key), "energy": energy})
         self.last = atom_set.scan(self.f_psd)
@@ -413,13 +412,10 @@ class Span:
 
     def keep(self):
         """Commit the stage and restart on its residual with an empty span."""
-        self.kept_str = self.kept_str + self.f_str
         self.kept_atoms.extend(self.atoms)
-        self.target = self.f_psd
-        self._rows = np.empty((2, 0, self.target.size))  # raw atoms, basis; grown in _select
-        self.raw, self.basis = self._rows[0], self._rows[1]
-        self.keys, self.atoms, self.trace = [], [], []
-        self.f_str = np.zeros_like(self.target)
+        self.target = self.f_psd.copy()
+        self._rows, self._tri = np.empty((0, self.target.size)), np.empty((0, 0))
+        self.keys, self.proj, self.atoms, self.trace = [], [], [], []
 
 
 def orthogonal_weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition:
@@ -428,7 +424,7 @@ def orthogonal_weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition
     Selected atoms are orthonormalized incrementally; f_str is the projection
     of f onto their span, so <f_str, f_psd> = 0 and Pythagoras holds exactly
     (to arithmetic tolerance).  Coefficients over the raw atoms are recovered
-    from the Gram system and recorded with their empirical bound.
+    from the Gram-Schmidt triangle and recorded with their empirical bound.
     """
     _check_eps(eps)
     f = _unit_vector(f)
@@ -436,7 +432,7 @@ def orthogonal_weak_decompose(f, atom_set: AtomSet, eps: float) -> Decomposition
     span.grow(eps)
     return Decomposition(
         atoms=span.atoms,
-        f_str=span.f_str,
+        f_str=f - span.f_psd,
         f_psd=span.f_psd,
         f_err=np.zeros_like(f),
         complexity_m=_iteration_budget(eps),
@@ -529,9 +525,9 @@ def strong_decompose(
     )
     return Decomposition(
         atoms=list(span.kept_atoms),
-        f_str=span.kept_str,
+        f_str=f - span.target,
         f_psd=span.f_psd,
-        f_err=span.f_str,
+        f_err=span.target - span.f_psd,
         complexity_m=max(len(span.kept_atoms), 1),
         coeff_bound_k=max((abs(c) for _, c in span.kept_atoms), default=0.0),
         pseudorandomness_eps=threshold,

@@ -266,6 +266,16 @@ class TestProjectionNorm:
         for call in (projection_norm, conditional_expectation):
             with pytest.raises(PreconditionError, match="ground sets"):
                 call(space, np.ones(8), y)
+        stock = FactorFamily([Factor(np.arange(8) % 2)])
+        stock.projections(space, np.ones(8))
+        with pytest.raises(PreconditionError, match="ground sets"):
+            stock.projections(FiniteProbabilitySpace.uniform(16), np.ones(16))
+
+    def test_empty_stock_scans_any_space(self):
+        stock = FactorFamily([])
+        for size in (8, 16):
+            levels = stock.projections(FiniteProbabilitySpace.uniform(size), np.ones(size))
+            assert levels.shape == (0,)
 
 
 class TestScanShape:
@@ -310,8 +320,10 @@ class TestScanShape:
         assert calls == [True, False]
         calls.clear()
         dec.verify(space, f, family)
-        # E(f | factor) afresh (its masses and sums), then one stock scan of f_psd
-        assert calls == [True, True, True]
+        # the unweighted count that ranks the labels of the recorded members'
+        # join, E(f | factor) afresh (its masses and sums), then one stock
+        # scan of f_psd
+        assert calls == [False, True, True, True]
 
     def test_swapped_labels_tie_to_lower_index(self):
         # a half-interval and its complement are one partition with the labels
@@ -386,7 +398,7 @@ class TestAtomTable:
         assert abs(refinement.majorant_linf - max(expected)) <= bound
 
         split = weak_factor_decompose(space, f, base, family, eps)
-        split.verify(space, f, family)
+        split.verify(space, f, family, base)
         chosen = [family[i] for i in split.member_indices]
         assert split.factor == reduce(Factor.join, chosen, base)
         f_str = naive_conditional_expectation(w, f, split.factor.labels)
@@ -636,6 +648,17 @@ class TestWeakFactorDecompose:
         moved = dataclasses.replace(split, f_str=split.f_str + delta, f_psd=split.f_psd - delta)
         with pytest.raises(CertificateError, match="f_str is not"):
             moved.verify(space, f, family)
+        # every point its own atom, claimed at complexity 0
+        discrete = dataclasses.replace(
+            split,
+            factor=Factor.discrete(64),
+            f_str=f,
+            f_psd=np.zeros(64),
+            member_indices=[],
+            complexity=0,
+        )
+        with pytest.raises(CertificateError, match="recorded members"):
+            discrete.verify(space, f, family)
 
 
 class TestStrongFactorDecompose:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,7 @@ class TestWeakDecompose:
             assert dec.iterations <= math.floor(1 / eps**2 + 1e-9)
             assert atoms.scan(dec.f_psd).lower < eps
             assert norm(f - dec.reconstruct()) <= 1e-10
+            assert np.array_equal(dec.f_str, f - dec.f_psd)
             dec.verify(f, atoms)
 
     def test_energy_monotone(self):
@@ -175,6 +177,24 @@ class TestOrthogonalWeakDecompose:
                 norm(f) ** 2 - norm(dec.f_str) ** 2 - norm(dec.f_psd) ** 2
             ) <= 1e-10
             dec.verify(f, atoms)
+
+    def test_peak_memory(self):
+        # k selected atoms take k basis rows of N floats (up to 2k while the
+        # capacity doubles), beside f, f_psd, the stage target and scan scratch
+        n, k = 14, 16
+        rng = np.random.default_rng(13)
+        keys = rng.choice(1 << n, k, replace=False)
+        f = sum((0.9 - 0.02 * i) * character(n, int(xi)) for i, xi in enumerate(keys))
+        f = f / norm(f)
+        atoms = character_atoms(n)
+        tracemalloc.start()
+        try:
+            dec = orthogonal_weak_decompose(f, atoms, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(key for key, _ in dec.atoms) == sorted(keys.tolist())
+        assert peak < (2 * k + 8) * f.nbytes
 
 
 class TestStrongDecompose:
@@ -334,6 +354,43 @@ class TestCertificates:
         dec.f_psd = dec.f_psd + delta
         with pytest.raises(CertificateError, match="projects at"):
             dec.verify(space, f + delta, family)
+
+
+def near_parallel_pairs(rng, size, distances):
+    """Unit atoms in pairs (a, b) with b at ``distance`` from a, in between
+    normalized, and f = a random combination of them plus 0.1 of noise
+    orthogonal to them all, scaled to norm 1/2."""
+    rows = []
+    for distance in distances:
+        a, e = unit_rows(rng, 2, size)
+        e = e - inner_product(e, a) * a
+        rows += [a, a + distance * e / norm(e)]
+    mat = np.array(rows)
+    mat /= np.sqrt((mat**2).mean(axis=1, keepdims=True))
+    noise = rng.standard_normal(size)
+    noise -= mat.T @ np.linalg.lstsq(mat.T, noise, rcond=None)[0]
+    f = mat.T @ rng.uniform(-1, 1, len(mat))
+    f = f + 0.1 * norm(f) * noise / norm(noise)
+    return mat, f / (2 * norm(f))
+
+
+@pytest.mark.parametrize("split", ["orthogonal", "strong"])
+def test_coefficients_on_near_parallel_atoms(split):
+    # every atom joins the split, at a threshold of 1e-11 (one stage for the
+    # strong split); the Gram system's condition number would reach 1e10
+    for seed in range(5):
+        mat, f = near_parallel_pairs(np.random.default_rng(seed), 64, [1e-2, 1e-3, 1e-4, 1e-5])
+        atoms = DenseAtomSet(mat)
+        if split == "orthogonal":
+            dec = orthogonal_weak_decompose(f, atoms, 1e-11)
+        else:
+            growth = GrowthFunction.linear(1e11)
+            dec = strong_decompose(f, atoms, 0.3, growth, complexity_cap=10**11)
+            assert [s["atoms"] for s in dec.stages] == [len(mat), 0]
+        assert sorted(key for key, _ in dec.atoms) == list(range(len(mat)))
+        combo = sum(c * mat[key] for key, c in dec.atoms)
+        assert np.abs(dec.f_str - combo).max() <= 1e-12
+        dec.verify(f, atoms)
 
 
 def test_stages_match_plain_loop_oracle():
