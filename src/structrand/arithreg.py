@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cube import MAX_CUBE_N, f2_row_basis, parity, walsh_hadamard
+from .cube import MAX_CUBE_N, _f2_table, f2_row_basis, walsh_hadamard
 from .errors import BudgetExceededError, CertificateError, PreconditionError
 from .hilbert import EPS_TOL
 
@@ -72,12 +72,11 @@ def indicator_from_set(n: int, points) -> np.ndarray:
 
 def coset_ids(n: int, basis) -> np.ndarray:
     """Syndrome of every point against the constraint basis (bit i of the id
-    is the parity against constraint i)."""
-    x = np.arange(1 << n, dtype=np.uint64)
-    ids = np.zeros(1 << n, dtype=np.int64)
-    for i, b in enumerate(basis):
-        ids |= parity(x & np.uint64(int(b))) << i
-    return ids
+    is the parity against constraint i), a linear map taking e_j to the bits
+    j of the constraints."""
+    rows = np.array(basis, dtype=np.int64).reshape(-1, 1)
+    bits = (rows >> np.arange(n)) & 1  # bits[i, j] is bit j of constraint i
+    return _f2_table((bits << np.arange(len(rows))[:, None]).sum(axis=0))
 
 
 def coset_entries(f, n: int, basis, eps: float) -> list:
@@ -93,20 +92,16 @@ def coset_entries(f, n: int, basis, eps: float) -> list:
     column, its bits put back on the free coordinates, is the witness.
     """
     d = len(basis)
-    leads = sorted((int(b).bit_length() - 1 for b in basis), reverse=True)
-    x = np.arange(1 << n, dtype=np.int64)
-    col = x  # x with its leading bits cut out, highest first
-    for lead in leads:
-        col = (col >> (lead + 1) << lead) | (col & ((1 << lead) - 1))
+    leads = {int(b).bit_length() - 1 for b in basis}
+    free = [i for i in range(n) if i not in leads]
+    col = np.zeros(n, dtype=np.int64)  # e_j -> its column bit, 0 on leading bits
+    col[free] = 1 << np.arange(n - d)
     points = np.empty((1 << d, 1 << (n - d)), dtype=np.int64)
-    points[coset_ids(n, basis), col] = x
+    points[coset_ids(n, basis), _f2_table(col)] = np.arange(1 << n)
     rows = np.asarray(f, dtype=float)[points]
     density = rows.mean(axis=1)
     spec = np.abs(walsh_hadamard(rows - density[:, None]))
-    worst = spec.argmax(axis=1)
-    witness = np.zeros_like(worst)
-    for k, i in enumerate(i for i in range(n) if i not in leads):
-        witness |= (worst >> k & 1) << i
+    witness = _f2_table(1 << np.array(free, dtype=np.int64))[spec.argmax(axis=1)]
     return [
         CosetEntry(
             representative=int(rep),

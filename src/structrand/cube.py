@@ -45,6 +45,14 @@ def character(n: int, xi: int) -> np.ndarray:
     return 1.0 - 2.0 * parity(x & np.uint64(xi))
 
 
+def _stages(v, n):
+    """Yield the (low, high) halves of every radix-2 stage of v, a C-ordered
+    stack of length-2^n rows, as views that a butterfly updates in place."""
+    for j in range(n):
+        halves = v.reshape(-1, 2, 1 << j)
+        yield halves[:, 0], halves[:, 1]
+
+
 def walsh_hadamard(f) -> np.ndarray:
     """Normalized transform: out[xi] = 2^-n sum_x f(x) (-1)^{x . xi}.
 
@@ -52,16 +60,12 @@ def walsh_hadamard(f) -> np.ndarray:
     row, each row bit-identically to the transform of that row alone.
     """
     n = cube_dim(f)
-    v = np.array(f, dtype=float)
-    shape = v.shape
-    h = 1
-    while h < 1 << n:
-        v = v.reshape(-1, 2, h)
-        top = v[:, 0, :] + v[:, 1, :]
-        bot = v[:, 0, :] - v[:, 1, :]
-        v = np.stack((top, bot), axis=1)
-        h *= 2
-    return v.reshape(shape) / (1 << n)
+    v = np.array(f, dtype=float, order="C")
+    for low, high in _stages(v, n):
+        diff = low - high
+        low += high
+        high[...] = diff
+    return v / (1 << n)
 
 
 def inverse_walsh_hadamard(spectrum) -> np.ndarray:
@@ -80,17 +84,14 @@ def ensure_pm_one(f):
 def mobius_transform(bits) -> np.ndarray:
     """Self-inverse XOR butterfly between truth tables and ANF coefficients.
 
-    anf[m] = XOR of f over all x with x subset of m; applying it twice is the
-    identity, so the same routine converts coefficients back to values.
+    anf[m] = XOR of f over all x with x subset of m, along the last axis;
+    applying it twice is the identity, so the same routine converts
+    coefficients back to values.
     """
-    v = np.array(bits, dtype=np.int64) & 1
-    cube_dim(v)
-    h = 1
-    while h < v.size:
-        v = v.reshape(-1, 2, h)
-        v[:, 1, :] ^= v[:, 0, :]
-        h *= 2
-    return v.reshape(-1)
+    v = np.array(bits, dtype=np.int64, order="C") & 1
+    for low, high in _stages(v, cube_dim(v)):
+        high ^= low
+    return v
 
 
 def shift(f, h: int) -> np.ndarray:
@@ -127,16 +128,22 @@ def f2_matrix_rank(mat) -> int:
     return f2_rank(masks)
 
 
+def _f2_table(images, table=None, op=np.bitwise_xor):
+    """Table of a map that is linear on F_2^len(images): entry r is table[0]
+    combined by op with images[j] for every set bit j of r (by default the
+    XOR of those images).  Entries [2^j, 2^(j+1)) double entries [0, 2^j)."""
+    if table is None:
+        table = np.zeros(1 << len(images), dtype=np.int64)
+    for j, image in enumerate(images):
+        op(table[: 1 << j], image, out=table[1 << j : 2 << j])
+    return table
+
+
 def f2_matvec_table(mat) -> np.ndarray:
     """Table of T.r over F_2 for every r, for an n x n 0/1 matrix T."""
     mat = np.asarray(mat) % 2
     n = mat.shape[0]
-    cols = [int(sum(int(mat[i, j]) << i for i in range(n))) for j in range(n)]
-    table = np.zeros(1 << n, dtype=np.int64)
-    for j in range(n):  # linearity: extend from masks below 2^j by xoring column j
-        step = 1 << j
-        table[step : 2 * step] = table[:step] ^ cols[j]
-    return table
+    return _f2_table([int(sum(int(mat[i, j]) << i for i in range(n))) for j in range(n)])
 
 
 # --- polynomials over F_2 ---------------------------------------------------
@@ -187,11 +194,7 @@ class F2Polynomial:
 
     def truth_table(self) -> np.ndarray:
         anf = np.zeros(1 << self.n, dtype=np.int64)
-        for mono in self.monomials:
-            mask = 0
-            for v in mono:
-                mask |= 1 << v
-            anf[mask] = 1
+        anf[[sum(1 << v for v in mono) for mono in self.monomials]] = 1
         return mobius_transform(anf)
 
     def code(self) -> np.ndarray:
@@ -276,21 +279,11 @@ class ReedMullerAtomSet(DenseAtomSet):
                 f"beyond the budget"
             )
         self.monomials = monos
-        size = 1 << self.n
-        signs = np.empty((len(monos), size))
-        x = np.arange(size, dtype=np.uint64)
-        for j, mono in enumerate(monos):
-            if not mono:
-                signs[j] = -1.0
-            else:
-                on = np.ones(size, dtype=bool)
-                for v in mono:
-                    on &= ((x >> np.uint64(v)) & np.uint64(1)).astype(bool)
-                signs[j] = np.where(on, -1.0, 1.0)
-        codes = np.ones((1, size))
-        for j in range(len(monos)):
-            codes = np.vstack([codes, codes * signs[j]])
-        self.matrix = codes  # +-1 rows have norm 1: DenseAtomSet's norm check is moot
+        codes = np.empty((count, 1 << self.n))
+        codes[0] = 1.0  # code i + 2^j is code i times the sign of monomial j
+        signs = [F2Polynomial.from_monomials(self.n, [mono]).code() for mono in monos]
+        # +-1 rows have norm 1: DenseAtomSet's norm check is moot
+        self.matrix = _f2_table(signs, codes, np.multiply)
         self.name = f"reed-muller(n={n}, deg<={k})"
 
     def polynomial(self, index: int) -> F2Polynomial:

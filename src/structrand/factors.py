@@ -382,6 +382,8 @@ class FactorDecomposition:
         matches = reduce(Factor.join, parts) == self.factor if parts else self.factor.num_atoms == 1
         if not matches:
             raise CertificateError("factor is not the base joined with the recorded members")
+        if self.complexity != len(self.member_indices):
+            raise CertificateError("complexity is not the number of recorded members")
         if space.l2(f - self.reconstruct()) > RECON_TOL:
             raise CertificateError("reconstruction failed")
         expected = conditional_expectation(space, f, self.factor)

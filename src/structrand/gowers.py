@@ -27,7 +27,8 @@ MAX_D = 4
 # shifts and the d = 3 inverse-99 fits and vote touch 2^{2n}; the d = 2 vote
 # and the trilinear form are transforms, held only by the cube cap.
 BUDGET_BITS = 26
-# Derivative rows are materialized this many cells at a time.
+# Derivative rows, and the pairs of the d = 3 inverse-99 vote, are
+# materialized this many cells at a time.
 BLOCK_CELLS = 1 << 16
 
 
@@ -49,19 +50,24 @@ def _rows(fs, d):
     return rows
 
 
-def translate_blocks(rows):
-    """Yield the translates of a (count, 2^n) stack, a block of consecutive
-    shifts h at a time: block[r, i] is row r translated by the i-th h.
+def _blocks(size, width):
+    """Consecutive index blocks covering range(size), each as long as rows of
+    ``width`` cells fit in BLOCK_CELLS (at least one index)."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    for lo in range(0, size, step):
+        yield np.arange(lo, min(lo + step, size))
 
-    Each block holds about BLOCK_CELLS cells (at least one translate per
-    row), so derivative stacks rows[:, None] * block stay small.
-    """
+
+def _derivatives(rows):
+    """Yield (shifted, products) of a (count, 2^n) stack, a block of
+    consecutive shifts h at a time: shifted[r, i] is row r translated by the
+    i-th h, and products the derivatives rows[r] * shifted[r, i] as one
+    (count * block, 2^n) stack.  Each block holds about BLOCK_CELLS cells."""
     count, size = rows.shape
     x = np.arange(size)
-    step = max(1, BLOCK_CELLS // (count * size))
-    for lo in range(0, size, step):
-        h = np.arange(lo, min(lo + step, size))
-        yield rows[:, x[None, :] ^ h[:, None]]
+    for h in _blocks(size, count * size):
+        shifted = rows[:, x[None, :] ^ h[:, None]]
+        yield shifted, (rows[:, None, :] * shifted).reshape(-1, size)
 
 
 def _u_power(rows, d):
@@ -74,8 +80,7 @@ def _u_power(rows, d):
         return np.sum(sq * sq, axis=-1)
     count, size = rows.shape
     out = np.zeros(count)
-    for shifted in translate_blocks(rows):
-        ders = (rows[:, None, :] * shifted).reshape(-1, size)
+    for _, ders in _derivatives(rows):
         out += _u_power(ders, d - 1).reshape(count, -1).sum(axis=1)
     return out / size
 
@@ -87,13 +92,11 @@ def _dual(rows, d):
     if d == 2:
         spec = walsh_hadamard(rows)
         return inverse_walsh_hadamard(spec * spec * spec)
-    size = rows.shape[-1]
     out = np.zeros(rows.shape)
     # D_d g(x) = E_h g(x + h) D_{d-1}(g * g_h)(x)
-    for shifted in translate_blocks(rows):
-        ders = (rows[:, None, :] * shifted).reshape(-1, size)
+    for shifted, ders in _derivatives(rows):
         out += (shifted * _dual(ders, d - 1).reshape(shifted.shape)).sum(axis=1)
-    return out / size
+    return out / rows.shape[-1]
 
 
 def _u2_power_by_shifts(f):

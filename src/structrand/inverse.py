@@ -22,7 +22,7 @@ from .cube import (
     walsh_hadamard,
 )
 from .errors import CertificateError, PreconditionError
-from .gowers import BLOCK_CELLS, check_budget, gowers_norm, translate_blocks
+from .gowers import _blocks, _derivatives, check_budget, gowers_norm
 
 logger = logging.getLogger(__name__)
 
@@ -99,8 +99,8 @@ def _derivative_fits(f, d):
         auto = inverse_walsh_hadamard(walsh_hadamard(f) ** 2)
         return np.abs(auto), np.zeros(f.size, dtype=np.int64), auto
     parts = []
-    for shifted in translate_blocks(f[None, :]):
-        spec = walsh_hadamard(f * shifted[0])
+    for _, ders in _derivatives(f[None, :]):
+        spec = walsh_hadamard(ders)
         xi = np.argmax(np.abs(spec), axis=-1)
         sq = spec * spec
         parts.append((np.sum(sq * sq, axis=-1) ** 0.25, xi, spec[np.arange(xi.size), xi]))
@@ -128,8 +128,7 @@ def _vote_tallies(kept_set, h1, bit_arr, xi_arr, d):
             raise CertificateError("vote tallies by transform are not integers")
         return tallies.astype(np.int64)
     tallies = np.zeros((2, size), dtype=np.int64)
-    step = max(1, BLOCK_CELLS // max(h1.size, 1))
-    for k in np.split(np.arange(size), range(step, size, step)):
+    for k in _blocks(size, h1.size):
         h2 = h1[None, :] ^ k[:, None]
         ok = kept_set[h2]
         votes = bit_arr[h1] ^ bit_arr[h2] ^ parity(xi_arr[h2] & h1)

@@ -18,6 +18,19 @@ from structrand.cube import f2_matrix_rank, f2_matvec_table, f2_row_basis, parit
 from oracles import naive_walsh_hadamard
 
 
+def assert_layout_free(transform):
+    """A Fortran-ordered stack, a transposed stack and a strided slice each
+    transform as their C-ordered copies do, and are left unmodified."""
+    rng = np.random.default_rng(7)
+    fortran = np.asfortranarray(rng.integers(0, 2, (6, 32)))
+    transposed = rng.integers(0, 2, (32, 6)).T
+    strided = rng.integers(0, 2, (6, 64))[:, ::2]
+    for view in (fortran, transposed, strided):
+        before = view.copy()
+        assert np.array_equal(transform(view), transform(np.ascontiguousarray(view)))
+        assert np.array_equal(view, before)
+
+
 class TestWalshHadamard:
     def test_character_spectrum(self):
         spec = walsh_hadamard(character(4, 11))
@@ -47,6 +60,9 @@ class TestWalshHadamard:
             spec = walsh_hadamard(f)
             assert abs(np.sum(spec**2) - inner_product(f, f)) <= 1e-9
 
+    def test_any_memory_layout(self):
+        assert_layout_free(walsh_hadamard)
+
     def test_cap(self):
         from structrand.cube import cube_dim
 
@@ -59,6 +75,9 @@ class TestMobius:
         rng = np.random.default_rng(3)
         bits = (rng.random(64) < 0.5).astype(int)
         assert np.array_equal(mobius_transform(mobius_transform(bits)), bits)
+
+    def test_any_memory_layout(self):
+        assert_layout_free(mobius_transform)
 
     def test_known_degree(self):
         # x0*x1 has truth table with ones exactly where both bits are set
@@ -121,9 +140,10 @@ class TestAtomFamilies:
         with pytest.raises(BudgetExceededError):
             reed_muller_atoms(5, 3)
 
-    def test_polynomial_index_roundtrip(self):
-        atoms = reed_muller_atoms(3, 2)
-        for i in (0, 1, 17, 127):
+    @pytest.mark.parametrize("n, k", [(3, 2), (4, 1), (5, 2)])
+    def test_polynomial_index_roundtrip(self, n, k):
+        atoms = reed_muller_atoms(n, k)
+        for i in range(len(atoms)):
             poly = atoms.polynomial(i)
             assert atoms.index_of(poly) == i
             assert np.array_equal(atoms.atom_vector(i), poly.code())

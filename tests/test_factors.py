@@ -659,6 +659,10 @@ class TestWeakFactorDecompose:
         )
         with pytest.raises(CertificateError, match="recorded members"):
             discrete.verify(space, f, family)
+        # the joined member kept, but claimed at complexity 0
+        assert len(split.member_indices) == 1
+        with pytest.raises(CertificateError, match="complexity"):
+            dataclasses.replace(split, complexity=0).verify(space, f, family)
 
 
 class TestStrongFactorDecompose:

@@ -18,7 +18,7 @@ from structrand import (
     rigidity_gap,
 )
 
-from structrand import inverse
+from structrand import gowers, inverse
 from structrand.inverse import VOTE_THRESHOLD, _vote_tallies
 
 from oracles import naive_inner, naive_vote_tallies
@@ -134,7 +134,7 @@ class TestVoteTallies:
 
     def test_d3_tallies_across_blocks(self, monkeypatch):
         # 7 cells per block is fewer than the kept shifts, so one k per block
-        monkeypatch.setattr(inverse, "BLOCK_CELLS", 7)
+        monkeypatch.setattr(gowers, "BLOCK_CELLS", 7)
         rng = np.random.default_rng(0)
         kept, bits, xis = rng.random(64) < 0.7, rng.integers(0, 2, 64), rng.integers(0, 64, 64)
         counts, ones = _vote_tallies(kept, np.flatnonzero(kept), bits, xis, 3)
