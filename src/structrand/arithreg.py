@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cube import MAX_CUBE_N, _f2_table, f2_row_basis, walsh_hadamard
+from .cube import MAX_CUBE_N, _f2_table, f2_matvec_table, f2_row_basis, walsh_hadamard
 from .errors import BudgetExceededError, CertificateError, PreconditionError
 from .hilbert import EPS_TOL
 
@@ -72,11 +72,9 @@ def indicator_from_set(n: int, points) -> np.ndarray:
 
 def coset_ids(n: int, basis) -> np.ndarray:
     """Syndrome of every point against the constraint basis (bit i of the id
-    is the parity against constraint i), a linear map taking e_j to the bits
-    j of the constraints."""
+    is the parity against constraint i): the table of the constraint matrix."""
     rows = np.array(basis, dtype=np.int64).reshape(-1, 1)
-    bits = (rows >> np.arange(n)) & 1  # bits[i, j] is bit j of constraint i
-    return _f2_table((bits << np.arange(len(rows))[:, None]).sum(axis=0))
+    return f2_matvec_table((rows >> np.arange(n)) & 1)  # row i: bits of constraint i
 
 
 def coset_entries(f, n: int, basis, eps: float) -> list:

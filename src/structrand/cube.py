@@ -140,10 +140,10 @@ def _f2_table(images, table=None, op=np.bitwise_xor):
 
 
 def f2_matvec_table(mat) -> np.ndarray:
-    """Table of T.r over F_2 for every r, for an n x n 0/1 matrix T."""
-    mat = np.asarray(mat) % 2
-    n = mat.shape[0]
-    return _f2_table([int(sum(int(mat[i, j]) << i for i in range(n))) for j in range(n)])
+    """Table of T.r over F_2 for every r, for a 0/1 matrix T (bit i of T.r is
+    row i's parity against r)."""
+    mat = np.asarray(mat, dtype=np.int64) % 2
+    return _f2_table((mat << np.arange(len(mat))[:, None]).sum(axis=0))
 
 
 # --- polynomials over F_2 ---------------------------------------------------
